@@ -181,8 +181,6 @@ def _cmd_snf(args):
 
 
 def build_parser():
-    env_limit = os.environ.get("STABLEPI1_MAX_COSETS")
-    default_limit = int(env_limit) if env_limit else DEFAULT_MAX_COSETS
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--catalogue-dir",
@@ -190,7 +188,12 @@ def build_parser():
         help=f"scenario directory (default: bundled catalogue at {bundled_catalogue_dir()})",
     )
     common.add_argument("--format", choices=("json", "md"), default="md")
-    common.add_argument("--max-cosets", type=int, default=default_limit)
+    common.add_argument(
+        "--max-cosets",
+        type=int,
+        default=None,
+        help=f"coset limit (default: $STABLEPI1_MAX_COSETS, else {DEFAULT_MAX_COSETS})",
+    )
     parser = argparse.ArgumentParser(
         prog="stablepi1",
         description="Exact fundamental-group verification for the bundled surface catalogue.",
@@ -214,7 +217,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.max_cosets < 1:
+    if args.max_cosets is None:
+        env_limit = os.environ.get("STABLEPI1_MAX_COSETS")
+        try:
+            args.max_cosets = int(env_limit) if env_limit else DEFAULT_MAX_COSETS
+        except ValueError:
+            args.max_cosets = 0
+        if args.max_cosets < 1:
+            print(
+                f"error: STABLEPI1_MAX_COSETS must be a positive integer, got {env_limit!r}",
+                file=sys.stderr,
+            )
+            return 2
+    elif args.max_cosets < 1:
         print("error: --max-cosets must be positive", file=sys.stderr)
         return 2
     handlers = {

@@ -8,11 +8,17 @@ the trivial subgroup; abelian invariants come from the Smith form of the
 relator exponent matrix.  Coset numbering is deterministic: rows are
 processed lowest first and columns in declared generator order, so coset
 tables are reproducible.
+
+The coset table is stored by column, one flat ``list[int]`` per generator
+and per inverse, indexed by coset number; cosets are numbered from 1 and 0
+marks an undefined entry.  Coincidence processing leaves no live entry
+pointing at a dead coset, so everything outside it follows entries
+directly, without union-find.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .intlin import AbelianInvariants, IntMatrix, cokernel_invariants
@@ -238,143 +244,185 @@ def _column(letter):
     return 2 * idx + (0 if letter > 0 else 1)
 
 
+_INITIAL_ROWS = 16
+
+
 class _CosetTable:
-    """HLT coset table over the trivial subgroup (Handbook of CGT, ch. 5)."""
+    """HLT coset table over the trivial subgroup (Handbook of CGT, ch. 5).
+
+    Cosets are numbered from 1 (the subgroup itself) and 0 means undefined.
+    The table is stored by column: ``cols[c][k]`` is the image of coset k
+    under column c, where column 2i is generator i and 2i + 1 its inverse.
+    Columns grow by doubling and are only ever changed in place, so the
+    column lists bound to each relator at construction stay valid.
+
+    Invariant between public calls: no live entry points at a dead coset.
+    ``_coincidence`` restores it before it returns and a scan returns right
+    after a coincidence, so scans, compaction and traces follow entries
+    directly; union-find (``p``) is consulted only inside ``_coincidence``.
+    """
 
     def __init__(self, ngens, relators, max_cosets):
-        self.ncols = 2 * ngens
-        self.rels = [[_column(letter) for letter in w] for w in relators]
         self.max = max_cosets
-        self.table = [[None] * self.ncols]
-        self.p = [0]
+        self.cols = []
+        self.pairs = []  # (column, inverse column) in column order
+        column = {}  # letter -> its column
+        for g in range(1, ngens + 1):
+            c, c_inv = [0] * _INITIAL_ROWS, [0] * _INITIAL_ROWS
+            self.cols += (c, c_inv)
+            self.pairs += ((c, c_inv), (c_inv, c))
+            column[g], column[-g] = c, c_inv
+        # per relator: the column of each letter, and of its inverse
+        self.rels = [
+            ([column[x] for x in w], [column[-x] for x in w]) for w in relators
+        ]
+        self.p = [0, 1]
+        self.top = 1  # highest coset number in use
         self.nlive = 1
 
     # union-find; merges always keep the smaller index, so representatives
     # are minimal and numbering stays deterministic
-    def rep(self, k):
+    def _rep(self, k):
+        p = self.p
         r = k
-        while self.p[r] != r:
-            r = self.p[r]
-        while self.p[k] != r:
-            self.p[k], k = r, self.p[k]
+        while p[r] != r:
+            r = p[r]
+        while p[k] != r:
+            p[k], k = r, p[k]
         return r
 
-    def _merge(self, k, lam, queue):
-        k, lam = self.rep(k), self.rep(lam)
-        if k != lam:
-            mu, nu = (k, lam) if k < lam else (lam, k)
-            self.p[nu] = mu
-            self.nlive -= 1
-            queue.append(nu)
-
     def _coincidence(self, a, b):
-        queue = deque()
-        self._merge(a, b, queue)
-        while queue:
-            gamma = queue.popleft()
-            row = self.table[gamma]
-            for col in range(self.ncols):
-                delta = row[col]
-                if delta is None:
-                    continue
-                self.table[delta][col ^ 1] = None
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
-                if self.table[mu][col] is not None:
-                    self._merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][col ^ 1] is not None:
-                    self._merge(mu, self.table[nu][col ^ 1], queue)
-                else:
-                    self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
-                row[col] = None
+        """Merge live cosets a and b and every coincidence they imply.
 
-    def _define(self, alpha, col):
+        The merge step and the common case of ``_rep`` are inlined: this is
+        the hot loop of enumerations with many coincidences.
+        """
+        p, rep = self.p, self._rep
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        p[b] = a
+        queue = [b]  # grows while it is walked
+        for gamma in queue:
+            for col, inv in self.pairs:
+                delta = col[gamma]
+                if not delta:
+                    continue
+                col[gamma] = 0
+                inv[delta] = 0
+                mu = p[gamma]
+                if p[mu] != mu:
+                    mu = rep(mu)
+                nu = delta if p[delta] == delta else rep(delta)
+                x = col[mu]
+                if x:
+                    k = nu
+                elif inv[nu]:
+                    k, x = mu, inv[nu]
+                else:
+                    col[mu] = nu
+                    inv[nu] = mu
+                    continue
+                if p[x] != x:
+                    x = rep(x)
+                if k != x:
+                    if k > x:
+                        k, x = x, k
+                    p[x] = k
+                    queue.append(x)
+        self.nlive -= len(queue)
+
+    def _define(self, alpha, col, inv):
         if self.nlive >= self.max:
             raise CosetLimitExceeded(
                 f"enumeration needs more than {self.max} live cosets"
             )
-        new = len(self.table)
-        self.table.append([None] * self.ncols)
+        new = self.top + 1
+        if new == len(col):
+            for c in self.cols:
+                c.extend([0] * new)
         self.p.append(new)
+        self.top = new
         self.nlive += 1
-        self.table[alpha][col] = new
-        self.table[new][col ^ 1] = alpha
+        col[alpha] = new
+        inv[new] = alpha
 
-    def _scan(self, alpha, rel, fill):
-        f, i = alpha, 0
-        b, j = alpha, len(rel) - 1
+    def _scan(self, alpha, fwd, bwd, fill):
+        f = b = alpha
+        i, j = 0, len(fwd) - 1
         while True:
-            while i <= j and self.table[f][rel[i]] is not None:
-                f = self.rep(self.table[f][rel[i]])
-                i += 1
-            if i > j:
+            for i in range(i, j + 1):
+                x = fwd[i][f]
+                if not x:
+                    break
+                f = x
+            else:
                 if f != b:
                     self._coincidence(f, b)
                 return
-            while j >= i and self.table[b][rel[j] ^ 1] is not None:
-                b = self.rep(self.table[b][rel[j] ^ 1])
-                j -= 1
-            if j < i:
+            for j in range(j, i - 1, -1):
+                x = bwd[j][b]
+                if not x:
+                    break
+                b = x
+            else:
                 self._coincidence(f, b)
                 return
             if j == i:
-                self.table[f][rel[i]] = b
-                self.table[b][rel[i] ^ 1] = f
+                fwd[i][f] = b
+                bwd[i][b] = f
                 return
             if not fill:
                 return
-            self._define(f, rel[i])
+            self._define(f, fwd[i], bwd[i])
 
     def _lookahead(self):
         """Deduction/coincidence pass over the whole table; returns cosets freed."""
         before = self.nlive
-        alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] == alpha:
-                for rel in self.rels:
-                    self._scan(alpha, rel, fill=False)
-                    if self.p[alpha] != alpha:
+        p = self.p
+        alpha = 1
+        while alpha <= self.top:
+            if p[alpha] == alpha:
+                for fwd, bwd in self.rels:
+                    self._scan(alpha, fwd, bwd, False)
+                    if p[alpha] != alpha:
                         break
             alpha += 1
         return before - self.nlive
 
     def _compact(self, alpha):
         """Drop dead rows, renumber live cosets in order; returns new alpha."""
-        mapping = {}
-        new_table = []
-        for i, row in enumerate(self.table):
-            if self.p[i] == i:
-                mapping[i] = len(new_table)
-                new_table.append(row)
-        for row in new_table:
-            for col in range(self.ncols):
-                if row[col] is not None:
-                    row[col] = mapping[self.rep(row[col])]
-        new_alpha = sum(1 for k in mapping if k < alpha)
-        self.table = new_table
-        self.p = list(range(len(new_table)))
-        return new_alpha
+        p, top = self.p, self.top
+        live = [k for k in range(1, top + 1) if p[k] == k]
+        mapping = [0] * (top + 1)
+        for new, old in enumerate(live, 1):
+            mapping[old] = new
+        pad = [0] * (top - len(live))
+        for col in self.cols:
+            col[1 : top + 1] = [mapping[col[k]] for k in live] + pad
+        self.top = len(live)
+        p[:] = range(self.top + 1)
+        return bisect_left(live, alpha) + 1
 
     def enumerate(self):
-        alpha = 0
-        while alpha < len(self.table):
-            if self.p[alpha] != alpha:
+        p = self.p
+        alpha = 1
+        while alpha <= self.top:
+            if p[alpha] != alpha:
                 alpha += 1
                 continue
-            if len(self.table) > 2 * self.nlive + 64:
+            if self.top > 2 * self.nlive + 64:
                 alpha = self._compact(alpha)
             try:
-                dead = False
-                for rel in self.rels:
-                    self._scan(alpha, rel, fill=True)
-                    if self.p[alpha] != alpha:
-                        dead = True
+                for fwd, bwd in self.rels:
+                    self._scan(alpha, fwd, bwd, True)
+                    if p[alpha] != alpha:
                         break
-                if not dead:
-                    for col in range(self.ncols):
-                        if self.table[alpha][col] is None:
-                            self._define(alpha, col)
+                else:
+                    for col, inv in self.pairs:
+                        if not col[alpha]:
+                            self._define(alpha, col, inv)
             except CosetLimitExceeded:
                 if self._lookahead() == 0:
                     raise
@@ -384,10 +432,10 @@ class _CosetTable:
         return self.nlive
 
     def trace_is_trivial(self, word):
-        coset = self.rep(0)
+        coset = 1
         for letter in word:
-            coset = self.rep(self.table[coset][_column(letter)])
-        return coset == self.rep(0)
+            coset = self.cols[_column(letter)][coset]
+        return coset == 1
 
 
 def _enumerate(p: Presentation, max_cosets):
@@ -419,16 +467,20 @@ def word_is_trivial(p: Presentation, word, max_cosets=DEFAULT_MAX_COSETS) -> boo
 
 
 def is_cyclic_of_order(p: Presentation, n: int, max_cosets=DEFAULT_MAX_COSETS) -> bool:
-    """Certify |G| = n together with a surjection onto Z/n.
-
-    A group of order n with abelianisation Z/n is cyclic, so the pair of
-    checks is a proof, not a heuristic.
-    """
+    """Certify |G| = n together with a surjection onto Z/n."""
     if n < 1:
         raise ValueError("order must be >= 1")
     if todd_coxeter_order(p, max_cosets) != n:
         return False
-    inv = abelianization(p)
+    return cyclic_given_order(n, abelianization(p))
+
+
+def cyclic_given_order(n: int, inv: AbelianInvariants) -> bool:
+    """Whether a group of order n with abelianization ``inv`` is cyclic.
+
+    A group of order n with abelianisation Z/n is cyclic (and a cyclic
+    group is its own abelianisation), so this is a proof, not a heuristic.
+    """
     if n == 1:
         return inv.is_trivial
     return inv.free_rank == 0 and inv.torsion == (n,)

@@ -259,6 +259,8 @@ def load_scenario(path) -> Scenario:
                 else:
                     pending = (toks[1], ncols, nrows, [])
             elif key == "vector":
+                if len(toks) < 2:
+                    fail(lineno, "vector lines are 'vector NAME ints...'")
                 try:
                     tdata["vectors"][toks[1]] = [int(t) for t in toks[2:]]
                 except ValueError:
@@ -418,7 +420,7 @@ def _check_node_counts(path, meta, dbar):
 def _certify(pres, max_cosets, checks):
     inv = fpgroup.abelianization(pres)
     order = fpgroup.todd_coxeter_order(pres, max_cosets)
-    cyclic = fpgroup.is_cyclic_of_order(pres, order, max_cosets)
+    cyclic = fpgroup.cyclic_given_order(order, inv)
     checks.append(f"coset enumeration closed at order {order}")
     checks.append(f"abelianization {inv}")
     return order, cyclic, inv

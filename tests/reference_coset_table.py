@@ -1,0 +1,161 @@
+"""Reference coset table for differential tests: the row-of-lists HLT
+enumerator that the column-layout ``fpgroup._CosetTable`` replaced, kept
+verbatim (only the class name differs).  Rows are numbered from 0, ``None``
+marks an undefined entry, and every lookup goes through union-find.
+"""
+
+from collections import deque
+
+from stablepi1.fpgroup import CosetLimitExceeded, _column
+
+
+class ReferenceCosetTable:
+    """HLT coset table over the trivial subgroup (Handbook of CGT, ch. 5)."""
+
+    def __init__(self, ngens, relators, max_cosets):
+        self.ncols = 2 * ngens
+        self.rels = [[_column(letter) for letter in w] for w in relators]
+        self.max = max_cosets
+        self.table = [[None] * self.ncols]
+        self.p = [0]
+        self.nlive = 1
+
+    # union-find; merges always keep the smaller index, so representatives
+    # are minimal and numbering stays deterministic
+    def rep(self, k):
+        r = k
+        while self.p[r] != r:
+            r = self.p[r]
+        while self.p[k] != r:
+            self.p[k], k = r, self.p[k]
+        return r
+
+    def _merge(self, k, lam, queue):
+        k, lam = self.rep(k), self.rep(lam)
+        if k != lam:
+            mu, nu = (k, lam) if k < lam else (lam, k)
+            self.p[nu] = mu
+            self.nlive -= 1
+            queue.append(nu)
+
+    def _coincidence(self, a, b):
+        queue = deque()
+        self._merge(a, b, queue)
+        while queue:
+            gamma = queue.popleft()
+            row = self.table[gamma]
+            for col in range(self.ncols):
+                delta = row[col]
+                if delta is None:
+                    continue
+                self.table[delta][col ^ 1] = None
+                mu = self.rep(gamma)
+                nu = self.rep(delta)
+                if self.table[mu][col] is not None:
+                    self._merge(nu, self.table[mu][col], queue)
+                elif self.table[nu][col ^ 1] is not None:
+                    self._merge(mu, self.table[nu][col ^ 1], queue)
+                else:
+                    self.table[mu][col] = nu
+                    self.table[nu][col ^ 1] = mu
+                row[col] = None
+
+    def _define(self, alpha, col):
+        if self.nlive >= self.max:
+            raise CosetLimitExceeded(
+                f"enumeration needs more than {self.max} live cosets"
+            )
+        new = len(self.table)
+        self.table.append([None] * self.ncols)
+        self.p.append(new)
+        self.nlive += 1
+        self.table[alpha][col] = new
+        self.table[new][col ^ 1] = alpha
+
+    def _scan(self, alpha, rel, fill):
+        f, i = alpha, 0
+        b, j = alpha, len(rel) - 1
+        while True:
+            while i <= j and self.table[f][rel[i]] is not None:
+                f = self.rep(self.table[f][rel[i]])
+                i += 1
+            if i > j:
+                if f != b:
+                    self._coincidence(f, b)
+                return
+            while j >= i and self.table[b][rel[j] ^ 1] is not None:
+                b = self.rep(self.table[b][rel[j] ^ 1])
+                j -= 1
+            if j < i:
+                self._coincidence(f, b)
+                return
+            if j == i:
+                self.table[f][rel[i]] = b
+                self.table[b][rel[i] ^ 1] = f
+                return
+            if not fill:
+                return
+            self._define(f, rel[i])
+
+    def _lookahead(self):
+        """Deduction/coincidence pass over the whole table; returns cosets freed."""
+        before = self.nlive
+        alpha = 0
+        while alpha < len(self.table):
+            if self.p[alpha] == alpha:
+                for rel in self.rels:
+                    self._scan(alpha, rel, fill=False)
+                    if self.p[alpha] != alpha:
+                        break
+            alpha += 1
+        return before - self.nlive
+
+    def _compact(self, alpha):
+        """Drop dead rows, renumber live cosets in order; returns new alpha."""
+        mapping = {}
+        new_table = []
+        for i, row in enumerate(self.table):
+            if self.p[i] == i:
+                mapping[i] = len(new_table)
+                new_table.append(row)
+        for row in new_table:
+            for col in range(self.ncols):
+                if row[col] is not None:
+                    row[col] = mapping[self.rep(row[col])]
+        new_alpha = sum(1 for k in mapping if k < alpha)
+        self.table = new_table
+        self.p = list(range(len(new_table)))
+        return new_alpha
+
+    def enumerate(self):
+        alpha = 0
+        while alpha < len(self.table):
+            if self.p[alpha] != alpha:
+                alpha += 1
+                continue
+            if len(self.table) > 2 * self.nlive + 64:
+                alpha = self._compact(alpha)
+            try:
+                dead = False
+                for rel in self.rels:
+                    self._scan(alpha, rel, fill=True)
+                    if self.p[alpha] != alpha:
+                        dead = True
+                        break
+                if not dead:
+                    for col in range(self.ncols):
+                        if self.table[alpha][col] is None:
+                            self._define(alpha, col)
+            except CosetLimitExceeded:
+                if self._lookahead() == 0:
+                    raise
+                alpha = self._compact(alpha)
+                continue
+            alpha += 1
+        return self.nlive
+
+    def trace_is_trivial(self, word):
+        coset = self.rep(0)
+        for letter in word:
+            coset = self.rep(self.table[coset][_column(letter)])
+        return coset == self.rep(0)

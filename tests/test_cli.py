@@ -114,3 +114,18 @@ def test_max_cosets_must_be_positive(capsys):
     code, _out, err = run_cli(capsys, ["run", "P1", "--max-cosets", "0"])
     assert code == 2
     assert "positive" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_max_cosets_env_must_be_positive_int(capsys, monkeypatch, value):
+    monkeypatch.setenv("STABLEPI1_MAX_COSETS", value)
+    code, out, err = run_cli(capsys, ["run", "P1"])
+    assert code == 2
+    assert out == ""
+    assert "STABLEPI1_MAX_COSETS" in err and repr(value) in err
+
+
+def test_max_cosets_flag_overrides_bad_env(capsys, monkeypatch):
+    monkeypatch.setenv("STABLEPI1_MAX_COSETS", "abc")
+    code, _out, _err = run_cli(capsys, ["run", "P1", "--max-cosets", "100"])
+    assert code == 0

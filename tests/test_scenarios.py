@@ -76,6 +76,15 @@ class TestLoad:
         with pytest.raises(ParseError, match="bad.scn:5"):
             load_scenario(bad)
 
+    def test_bare_vector_line_carries_line(self, tmp_path):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(
+            "meta\nid BAD\nkind torus-lattice\nexpected\norder 1\ncyclic yes\n"
+            "torus\nmode cover\nvector\n"
+        )
+        with pytest.raises(ParseError, match="bad.scn:9"):
+            load_scenario(bad)
+
     def test_unknown_kind(self, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text("meta\nid BAD\nkind telepathy\nexpected\norder 1\ncyclic yes\n")
