@@ -25,22 +25,6 @@ from .scenarios import (
 )
 
 
-def _report_json(report):
-    d = report.to_dict()
-    return {
-        "scenario": d["scenario"],
-        "order": d["order"],
-        "cyclic": d["cyclic"],
-        "abelianization": d["abelianization"],
-        "expected": d["expected"],
-        "verdict": d["verdict"],
-        "elapsed_ms": d["elapsed_ms"],
-        "presentation": d["presentation"],
-        "checks": d["checks"],
-        "error": d["error"],
-    }
-
-
 def _report_md(report, meta=None):
     lines = [f"## {report.scenario}", ""]
     lines.append(f"- computed order: {report.order}")
@@ -109,7 +93,7 @@ def _cmd_run(args):
         return 2
     report = run_scenario(match, max_cosets=args.max_cosets)
     if args.format == "json":
-        print(json.dumps(_report_json(report), indent=2))
+        print(json.dumps(report.to_dict(), indent=2))
     else:
         print(_report_md(report, match.meta))
     return 0 if report.passed else 1
@@ -128,7 +112,7 @@ def _cmd_verify_all(args):
         print(
             json.dumps(
                 {
-                    "reports": [_report_json(r) for r in reports],
+                    "reports": [r.to_dict() for r in reports],
                     "passed": summary["passed"],
                     "total": summary["total"],
                 },

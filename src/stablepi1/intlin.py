@@ -5,6 +5,20 @@ saturation, and invariant factors of finitely generated abelian groups.
 All arithmetic is arbitrary precision; no floating point is used anywhere.
 Pivot selection is pinned (smallest absolute value, ties broken by row then
 column order) so every result is reproducible bit for bit.
+
+Every Smith form comes from one kernel, ``_snf_core``, which accumulates only
+the transforms its caller reads; the pivot sequence, and so every result,
+is the same whichever it builds:
+
+- ``cokernel_invariants``: the diagonal only, no transform;
+- ``smith_normal_form``: U and V;
+- ``membership``: U only;
+- ``saturation``: V^-1 only.
+
+While it is built, V is held as a list of its columns, so a column operation
+is one list comprehension; it is returned by rows.  A column operation on the
+working matrix touches only the rows with a nonzero entry in the pivot
+column.
 """
 
 from __future__ import annotations
@@ -238,90 +252,118 @@ class SnfResult:
         return tuple(self.d.at(i, i) for i in range(min(self.d.rows, self.d.cols)))
 
 
-def _min_pivot(m, t, rows, cols):
-    best = None
+def _min_pivot(m, t, rows):
+    """First (i, j) in row-major order of m[t:, t:] whose entry has the
+    smallest nonzero absolute value, or None when the block is zero."""
+    best = 0
     where = None
     for i in range(t, rows):
-        mi = m[i]
-        for j in range(t, cols):
-            e = mi[j]
-            if e:
-                a = -e if e < 0 else e
-                if best is None or a < best:
-                    best = a
-                    where = (i, j)
-    return where
+        a = min(map(abs, filter(None, m[i][t:])), default=0)
+        if a and (not best or a < best):
+            best = a
+            where = i
+            if a == 1:
+                break
+    if where is None:
+        return None
+    row = m[where]
+    j = t
+    while row[j] != best and row[j] != -best:
+        j += 1
+    return where, j
 
 
-def _snf_core(rows_in):
-    """Smith form on a list of rows; returns (m, u, v, vinv, rank)."""
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _snf_core(rows_in, *, u=False, v=False, vinv=False):
+    """Smith form on a list of rows; returns (m, u, v, vinv, rank).
+
+    Only the transforms asked for are built; the others come back as None.
+    V is built as a list of its columns and transposed at the end.
+    """
     r = len(rows_in)
     c = len(rows_in[0]) if r else 0
     m = [list(row) for row in rows_in]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-    vinv = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+    u_rows = _identity_rows(r) if u else None
+    vcols = _identity_rows(c) if v else None
+    vinv_rows = _identity_rows(c) if vinv else None
     t = 0
     while t < min(r, c):
-        where = _min_pivot(m, t, r, c)
+        where = _min_pivot(m, t, r)
         if where is None:
             break
         while True:
             i, j = where
             if i != t:
                 m[t], m[i] = m[i], m[t]
-                u[t], u[i] = u[i], u[t]
+                if u_rows is not None:
+                    u_rows[t], u_rows[i] = u_rows[i], u_rows[t]
             if j != t:
-                for row in m:
+                # rows above t are zero in every column >= t
+                for row in m[t:]:
                     row[t], row[j] = row[j], row[t]
-                for row in v:
-                    row[t], row[j] = row[j], row[t]
-                vinv[t], vinv[j] = vinv[j], vinv[t]
-            if m[t][t] < 0:
-                m[t] = [-e for e in m[t]]
-                u[t] = [-e for e in u[t]]
-            pivot = m[t][t]
+                if vcols is not None:
+                    vcols[t], vcols[j] = vcols[j], vcols[t]
+                if vinv_rows is not None:
+                    vinv_rows[t], vinv_rows[j] = vinv_rows[j], vinv_rows[t]
+            mt = m[t]
+            if mt[t] < 0:
+                mt = m[t] = [-e for e in mt]
+                if u_rows is not None:
+                    u_rows[t] = [-e for e in u_rows[t]]
+            pivot = mt[t]
+            # rows from t on are zero in every column < t
+            tail = mt[t:]
             clean = True
             for i2 in range(t + 1, r):
-                q = m[i2][t] // pivot
+                row = m[i2]
+                q = row[t] // pivot
                 if q:
-                    m[i2] = [a - q * b for a, b in zip(m[i2], m[t])]
-                    u[i2] = [a - q * b for a, b in zip(u[i2], u[t])]
-                if m[i2][t]:
+                    row = m[i2] = row[:t] + [a - q * b for a, b in zip(row[t:], tail)]
+                    if u_rows is not None:
+                        u_rows[i2] = [a - q * b for a, b in zip(u_rows[i2], u_rows[t])]
+                if row[t]:
                     clean = False
+            # a column operation only changes rows with a nonzero entry in
+            # column t, and column t itself does not change in this loop
+            touched = [row for row in m[t:] if row[t]]
             for j2 in range(t + 1, c):
-                q = m[t][j2] // pivot
+                q = mt[j2] // pivot
                 if q:
-                    for row in m:
+                    for row in touched:
                         row[j2] -= q * row[t]
-                    for row in v:
-                        row[j2] -= q * row[t]
-                    vinv[t] = [a + q * b for a, b in zip(vinv[t], vinv[j2])]
-                if m[t][j2]:
+                    if vcols is not None:
+                        vcols[j2] = [a - q * b for a, b in zip(vcols[j2], vcols[t])]
+                    if vinv_rows is not None:
+                        vinv_rows[t] = [a + q * b for a, b in zip(vinv_rows[t], vinv_rows[j2])]
+                if mt[j2]:
                     clean = False
             if not clean:
-                where = _min_pivot(m, t, r, c)
+                where = _min_pivot(m, t, r)
                 continue
             offender = None
-            for i2 in range(t + 1, r):
-                for j2 in range(t + 1, c):
-                    if m[i2][j2] % pivot:
+            if pivot != 1:  # everything is a multiple of 1
+                for i2 in range(t + 1, r):
+                    if any(e % pivot for e in m[i2][t + 1 :]):
                         offender = i2
                         break
-                if offender is not None:
-                    break
             if offender is None:
                 break
-            m[t] = [a + b for a, b in zip(m[t], m[offender])]
-            u[t] = [a + b for a, b in zip(u[t], u[offender])]
-            where = _min_pivot(m, t, r, c)
+            m[t] = [a + b for a, b in zip(mt, m[offender])]
+            if u_rows is not None:
+                u_rows[t] = [a + b for a, b in zip(u_rows[t], u_rows[offender])]
+            where = _min_pivot(m, t, r)
         t += 1
-    return m, u, v, vinv, t
+    if vcols is not None:
+        vcols = [list(row) for row in zip(*vcols)]
+    return m, u_rows, vcols, vinv_rows, t
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Compute U*A*V = D with diagonal D, d_i >= 0 and d_i | d_{i+1}."""
-    m, u, v, _vinv, _rank = _snf_core(a.to_rows())
+    m, u, v, _vinv, _rank = _snf_core(a.to_rows(), u=True, v=True)
     return SnfResult(
         IntMatrix.from_rows(m, cols=a.cols),
         IntMatrix.from_rows(u, cols=a.rows),
@@ -409,7 +451,7 @@ def membership(t: RatVector, a: IntMatrix, lam: IntMatrix) -> bool:
         raise ValueError("a must have one row per coordinate of t")
     if lam.cols != n:
         raise ValueError("lam rows must live in the same ambient space as t")
-    _m, u, _v, _vinv, rank = _snf_core(a.to_rows())
+    _m, u, _v, _vinv, rank = _snf_core(a.to_rows(), u=True)
     den = t.denominator
     t_img = [sum(u[i][k] * t.numerators[k] for k in range(n)) for i in range(n)]
     free = range(rank, n)
@@ -428,7 +470,7 @@ def saturation(a: IntMatrix) -> IntMatrix:
     """Basis of { v : k*v in rowspan(a) for some k >= 1 }, in Hermite form."""
     if a.rows == 0:
         return IntMatrix.zeros(0, a.cols)
-    _m, _u, _v, vinv, rank = _snf_core(a.to_rows())
+    _m, _u, _v, vinv, rank = _snf_core(a.to_rows(), vinv=True)
     if rank == 0:
         return IntMatrix.zeros(0, a.cols)
     return hermite_normal_form(IntMatrix.from_rows(vinv[:rank], cols=a.cols))

@@ -47,6 +47,12 @@ class ValidationError(ValueError):
 
 KINDS = ("vankampen", "torus-lattice", "parametric", "constant")
 
+# Scalar keys of a torus section; ``basis`` only documents the coordinates.
+TORUS_SCALARS = frozenset(
+    "mode degphi degphiprime case glue rank denominator group_order deck_order"
+    " crossing_count nodes_downstairs basis".split()
+)
+
 
 @dataclass(frozen=True)
 class VanKampenPayload:
@@ -265,8 +271,10 @@ def load_scenario(path) -> Scenario:
                     tdata["vectors"][toks[1]] = [int(t) for t in toks[2:]]
                 except ValueError:
                     fail(lineno, "vector entries must be integers")
-            else:
+            elif key in TORUS_SCALARS:
                 tdata["scalars"][key] = " ".join(toks[1:])
+            else:
+                fail(lineno, f"unknown torus key '{key}'")
         else:
             fail(lineno, f"line outside any section: '{' '.join(toks)}'")
 
@@ -603,11 +611,6 @@ def bundled_catalogue_dir() -> Path:
     return Path(__file__).resolve().parent / "catalogue"
 
 
-def _scenario_sort_key(report_or_id):
-    sid = report_or_id if isinstance(report_or_id, str) else report_or_id.scenario
-    return sid
-
-
 def verify_catalogue(directory=None, max_cosets=DEFAULT_MAX_COSETS):
     """Run every scenario file in the directory; returns (reports, summary).
 
@@ -636,7 +639,7 @@ def verify_catalogue(directory=None, max_cosets=DEFAULT_MAX_COSETS):
             )
             continue
         reports.append(run_scenario(scenario, max_cosets))
-    reports.sort(key=_scenario_sort_key)
+    reports.sort(key=lambda r: r.scenario)
     passed = sum(1 for r in reports if r.passed)
     summary = {"total": len(reports), "passed": passed, "all_pass": passed == len(reports)}
     return reports, summary

@@ -19,6 +19,7 @@ from .intlin import (
     IntMatrix,
     RatVector,
     SingularMatrix,
+    cokernel_invariants,
     hermite_normal_form,
     membership,
     saturation,
@@ -448,8 +449,8 @@ def isogeny_cokernel(a: IntMatrix) -> AbelianInvariants:
         raise ValueError("isogeny matrix must be square")
     if a.det() == 0:
         raise SingularMatrix("isogeny matrix must be nonsingular")
-    snf = smith_normal_form(a)
-    return AbelianInvariants(0, tuple(d for d in snf.diagonal() if d > 1))
+    # SNF(A) = SNF(A^T), so the row-span cokernel has the same invariants
+    return cokernel_invariants(a, a.cols)
 
 
 def conjugate_into_lattice(linear: IntMatrix, translation: RatVector, lattice_rows: IntMatrix) -> AffineTorusMap:

@@ -85,6 +85,22 @@ class TestLoad:
         with pytest.raises(ParseError, match="bad.scn:9"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize("line", ["edge e P Q", "cell e", "vertex P", "degphy 3"])
+    def test_unknown_torus_key_carries_line(self, tmp_path, line):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(
+            "meta\nid BAD\nkind torus-lattice\nexpected\norder 1\ncyclic yes\n"
+            f"torus\nmode bitri\n{line}\ndegphi 2\n"
+        )
+        key = line.split()[0]
+        with pytest.raises(ParseError, match=f"bad.scn:9: unknown torus key '{key}'"):
+            load_scenario(bad)
+
+    def test_every_torus_key_of_the_catalogue_is_known(self):
+        # a ParseError here would name the bundled file and line
+        for path in sorted(bundled_catalogue_dir().glob("*.scn")):
+            load_scenario(path)
+
     def test_unknown_kind(self, tmp_path):
         bad = tmp_path / "bad.scn"
         bad.write_text("meta\nid BAD\nkind telepathy\nexpected\norder 1\ncyclic yes\n")
