@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .fpgroup import DEFAULT_MAX_COSETS
 from .intlin import IntMatrix, smith_normal_form
@@ -19,7 +18,6 @@ from .scenarios import (
     ValidationError,
     bundled_catalogue_dir,
     load_catalogue,
-    load_scenario,
     run_scenario,
     verify_catalogue,
 )
@@ -42,23 +40,22 @@ def _report_md(report, meta=None):
     return "\n".join(lines)
 
 
-def _table_md(reports, scenario_meta):
+def _table_md(reports):
     header = (
         "| id | computed | expected | cyclic | normal | smoothable | construction | verdict |"
     )
     rule = "|---|---|---|---|---|---|---|---|"
     rows = [header, rule]
     for r in reports:
-        meta = scenario_meta.get(r.scenario, {})
         rows.append(
             "| {} | {} | {} | {} | {} | {} | {} | {} |".format(
                 r.scenario,
                 r.order if r.order is not None else "-",
                 r.expected_order,
                 {True: "yes", False: "no", None: "-"}[r.cyclic],
-                meta.get("normal", "-"),
-                meta.get("smoothable", "-"),
-                meta.get("construction", "-"),
+                r.meta.get("normal", "-"),
+                r.meta.get("smoothable", "-"),
+                r.meta.get("construction", "-"),
                 r.verdict,
             )
         )
@@ -100,14 +97,6 @@ def _cmd_run(args):
 
 def _cmd_verify_all(args):
     reports, summary = verify_catalogue(args.catalogue_dir, max_cosets=args.max_cosets)
-    meta = {}
-    directory = Path(args.catalogue_dir) if args.catalogue_dir else bundled_catalogue_dir()
-    for path in sorted(directory.glob("*.scn")):
-        try:
-            s = load_scenario(path)
-            meta[s.id] = s.meta
-        except (ParseError, ValidationError):
-            continue
     if args.format == "json":
         print(
             json.dumps(
@@ -120,7 +109,7 @@ def _cmd_verify_all(args):
             )
         )
     else:
-        print(_table_md(reports, meta))
+        print(_table_md(reports))
         print()
         print(f"{summary['passed']}/{summary['total']} scenarios pass")
     return 0 if summary["all_pass"] else 1

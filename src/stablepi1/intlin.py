@@ -18,7 +18,17 @@ is the same whichever it builds:
 While it is built, V is held as a list of its columns, so a column operation
 is one list comprehension; it is returned by rows.  A column operation on the
 working matrix touches only the rows with a nonzero entry in the pivot
-column.
+column.  The pivot must shrink after every reduction that leaves a
+remainder and between two offender steps; a kernel defect that breaks this
+raises ``RuntimeError`` instead of looping.
+
+``solve_in_rowspace`` and ``solve_integral`` share one fraction-free
+Gauss-Jordan elimination on integers (``_gauss_jordan``): each updated row is
+divided by the gcd of its entries, and the pivot is the first row with a
+nonzero entry in its column, so dependent rows give the same solution as
+elimination over the rationals.  ``solve_integral`` divides exactly or
+returns None; ``solve_in_rowspace`` builds one ``Fraction`` per coordinate
+of the result and none before.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 class SingularMatrix(ValueError):
@@ -89,17 +100,17 @@ class IntMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for multiplication")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.at(k, j) for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        columns = [other.entries[j :: other.cols] for j in range(other.cols)]
+        return IntMatrix(
+            self.rows,
+            other.cols,
+            tuple(sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in columns),
+        )
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length does not match column count")
-        return [sum(self.at(i, k) * vec[k] for k in range(self.cols)) for i in range(self.rows)]
+        return [sum(map(mul, self.row(i), vec)) for i in range(self.rows)]
 
     @property
     def is_square(self):
@@ -294,6 +305,11 @@ def _snf_core(rows_in, *, u=False, v=False, vinv=False):
         where = _min_pivot(m, t, r)
         if where is None:
             break
+        # |pivot| shrinks after every reduction that leaves a remainder, and
+        # between two offender steps; a pivot that does not means a kernel
+        # defect, which would otherwise loop forever
+        shrink_below = 0
+        offender_pivot = 0
         while True:
             i, j = where
             if i != t:
@@ -314,6 +330,8 @@ def _snf_core(rows_in, *, u=False, v=False, vinv=False):
                 if u_rows is not None:
                     u_rows[t] = [-e for e in u_rows[t]]
             pivot = mt[t]
+            if 0 < shrink_below <= pivot:
+                raise RuntimeError(f"Smith form pivot did not shrink at diagonal position {t}")
             # rows from t on are zero in every column < t
             tail = mt[t:]
             clean = True
@@ -341,6 +359,7 @@ def _snf_core(rows_in, *, u=False, v=False, vinv=False):
                 if mt[j2]:
                     clean = False
             if not clean:
+                shrink_below = pivot
                 where = _min_pivot(m, t, r)
                 continue
             offender = None
@@ -351,6 +370,10 @@ def _snf_core(rows_in, *, u=False, v=False, vinv=False):
                         break
             if offender is None:
                 break
+            if 0 < offender_pivot <= pivot:
+                raise RuntimeError(f"Smith form pivot did not shrink at diagonal position {t}")
+            offender_pivot = pivot
+            shrink_below = 0  # the next pivot may equal this one
             m[t] = [a + b for a, b in zip(mt, m[offender])]
             if u_rows is not None:
                 u_rows[t] = [a + b for a, b in zip(u_rows[t], u_rows[offender])]
@@ -476,45 +499,84 @@ def saturation(a: IntMatrix) -> IntMatrix:
     return hermite_normal_form(IntMatrix.from_rows(vinv[:rank], cols=a.cols))
 
 
-def solve_in_rowspace(rows: IntMatrix, target) -> "list[Fraction] | None":
-    """Solve x * rows = target over the rationals; None when inconsistent.
+def _integer_target(target, n):
+    """(numerators, denominator) of a target vector of ints or rationals."""
+    if len(target) != n:
+        raise ValueError("target length does not match ambient rank")
+    if all(type(x) is int for x in target):
+        return list(target), 1
+    vec = RatVector.from_fractions(target)
+    return list(vec.numerators), vec.denominator
+
+
+def _reduce_by_content(row):
+    g = gcd(*row)
+    return [e // g for e in row] if g > 1 else row
+
+
+def _gauss_jordan(rows: IntMatrix, nums):
+    """Fraction-free Gauss-Jordan on the system rows^T * x^T = nums^T.
+
+    Returns (aug, pivots): aug[idx] is the reduced augmented row whose pivot
+    sits in column pivots[idx], up to a nonzero integer factor, so x at that
+    column is aug[idx][-1] / aug[idx][pivots[idx]].  None when inconsistent.
+    Each updated row is divided by its content.  Every row stays a nonzero
+    multiple of the row that elimination over the rationals would hold, so
+    the pivot choice (the first row with a nonzero entry in the column) and
+    the solution returned for dependent rows are the same as over Fraction.
+    """
+    n = rows.cols
+    aug = [list(rows.entries[i::n]) + [nums[i]] for i in range(n)]
+    pivots = []
+    r = 0
+    for col in range(rows.rows):
+        piv = next((i for i in range(r, n) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        prow = aug[r]
+        p = prow[col]
+        for i in range(n):
+            f = aug[i][col]
+            if f and i != r:
+                aug[i] = _reduce_by_content([p * a - f * b for a, b in zip(aug[i], prow)])
+        pivots.append(col)
+        r += 1
+    if any(row[-1] for row in aug[r:]):
+        return None
+    return aug, pivots
+
+
+def solve_in_rowspace(rows: IntMatrix, target, denominator=1) -> "list[Fraction] | None":
+    """Solve x * rows = target / denominator over the rationals; None when
+    inconsistent.  ``target`` holds ints (numerators) or rationals.
 
     ``rows`` is expected to have independent rows (a lattice basis); with
     dependent rows any one solution is returned.
     """
-    k = rows.rows
-    n = rows.cols
-    if len(target) != n:
-        raise ValueError("target length does not match ambient rank")
-    # Augmented system rows^T * x^T = target^T over Fraction.
-    aug = [[Fraction(rows.at(j, i)) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(k):
-        piv = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [e * inv for e in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [e - f * g for e, g in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-    for i in range(r, n):
-        if aug[i][k] != 0:
-            return None
-    x = [Fraction(0)] * k
-    for idx, col in enumerate(pivots):
-        x[col] = aug[idx][k]
+    nums, den = _integer_target(target, rows.cols)
+    solved = _gauss_jordan(rows, nums)
+    if solved is None:
+        return None
+    aug, pivots = solved
+    den *= denominator
+    x = [Fraction(0)] * rows.rows
+    for row, col in zip(aug, pivots):
+        x[col] = Fraction(row[-1], row[col] * den)
     return x
 
 
 def solve_integral(rows: IntMatrix, target) -> "list[int] | None":
     """Integer coordinates of ``target`` in the row basis, or None."""
-    x = solve_in_rowspace(rows, target)
-    if x is None or any(f.denominator != 1 for f in x):
+    nums, den = _integer_target(target, rows.cols)
+    solved = _gauss_jordan(rows, nums)
+    if solved is None:
         return None
-    return [int(f) for f in x]
+    aug, pivots = solved
+    x = [0] * rows.rows
+    for row, col in zip(aug, pivots):
+        q, rem = divmod(row[-1], row[col] * den)
+        if rem:
+            return None
+        x[col] = q
+    return x

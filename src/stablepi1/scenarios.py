@@ -122,6 +122,8 @@ class Report:
     elapsed_ms: float
     checks: tuple = ()
     error: "str | None" = None
+    # the scenario's meta section, for tables; not part of the report itself
+    meta: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def passed(self):
@@ -492,7 +494,8 @@ def _run_cover(payload, checks):
         raise ValidationError(
             f"group closure has order {len(elements)}, expected {payload.group_order}"
         )
-    if not torus.is_free_action(payload.group_gens):
+    # the closure is the whole group, so freeness is checked on it directly
+    if any(torus.has_fixed_point(e) for e in elements if not e.is_identity):
         raise ValidationError("bi-elliptic group action is not free")
     checks.append(f"free action of a group of order {payload.group_order}")
 
@@ -589,6 +592,7 @@ def run_scenario(s: Scenario, max_cosets=DEFAULT_MAX_COSETS) -> Report:
             verdict=verdict,
             elapsed_ms=round(elapsed, 3),
             checks=tuple(checks),
+            meta=s.meta,
         )
     except Exception as exc:  # computational failures become failed reports
         elapsed = (time.perf_counter() - start) * 1000.0
@@ -604,6 +608,7 @@ def run_scenario(s: Scenario, max_cosets=DEFAULT_MAX_COSETS) -> Report:
             elapsed_ms=round(elapsed, 3),
             checks=tuple(checks),
             error=f"{type(exc).__name__}: {exc}",
+            meta=s.meta,
         )
 
 

@@ -5,12 +5,16 @@ integer matrix plus a rational translation, acting on R^n / Z^n.  That is
 enough for everything computed here — orders of automorphisms, freeness of
 finite actions, counting preimages and transverse intersections, and the
 homology bookkeeping of the bi-tri-elliptic constructions.
+
+Maps compose on integers only: the translation is a vector of integer
+numerators over one denominator, and M t' + t is formed on the numerators
+over the product of the two denominators, then reduced.  Coordinates with
+respect to a lattice basis come from the integer solves in ``intlin``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import fpgroup
@@ -19,11 +23,11 @@ from .intlin import (
     IntMatrix,
     RatVector,
     SingularMatrix,
+    _snf_core,
     cokernel_invariants,
     hermite_normal_form,
     membership,
     saturation,
-    smith_normal_form,
     solve_in_rowspace,
     solve_integral,
 )
@@ -94,14 +98,14 @@ def compose(f: AffineTorusMap, g: AffineTorusMap) -> AffineTorusMap:
     """f after g: (M, t) o (M', t') = (M M', M t' + t)."""
     if f.rank != g.rank:
         raise ValueError("rank mismatch")
-    linear = f.linear.mul(g.linear)
-    tg = g.translation.fractions()
-    tf = f.translation.fractions()
+    # M t'/dg + t/df = (df M t' + dg t) / (df dg); RatVector reduces it
+    df = f.translation.denominator
+    dg = g.translation.denominator
     moved = [
-        sum(Fraction(f.linear.at(i, k)) * tg[k] for k in range(f.rank)) + tf[i]
-        for i in range(f.rank)
+        df * mt + dg * t
+        for mt, t in zip(f.linear.mul_vector(g.translation.numerators), f.translation.numerators)
     ]
-    return AffineTorusMap(linear, RatVector.from_fractions(moved))
+    return AffineTorusMap(f.linear.mul(g.linear), RatVector(moved, df * dg))
 
 
 def map_order(f: AffineTorusMap, cap: int) -> int:
@@ -393,13 +397,12 @@ def eplus_presentation(p: BiTriEllipticParams) -> fpgroup.Presentation:
 
     fbar_coords = IntMatrix.from_rows([in_basis(v) for v in fbar])
     fbar_sat = saturation(fbar_coords)
-    snf = smith_normal_form(fbar_sat)
-    if snf.diagonal() != (1, 1):
+    d, _u, v, _vinv, _rank = _snf_core(fbar_sat.to_rows(), v=True)
+    if tuple(d[i][i] for i in range(min(fbar_sat.rows, fbar_sat.cols))) != (1, 1):
         raise InvalidParams("curve sublattice failed to saturate")
-    v = snf.v
 
     def q_star(coords):
-        img = [sum(coords[k] * v.at(k, j) for k in range(4)) for j in range(4)]
+        img = [sum(coords[k] * v[k][j] for k in range(4)) for j in range(4)]
         return (img[2], img[3])
 
     pa = fpgroup.Presentation(("a", "b"), ((1, 2, -1, -2),))
@@ -465,15 +468,14 @@ def conjugate_into_lattice(linear: IntMatrix, translation: RatVector, lattice_ro
         raise ValueError("lattice must have full rank in the map's ambient space")
     new_cols = []
     for j in range(n):
-        image = linear.mul_vector(list(basis.row(j)))
-        coords = solve_in_rowspace(basis, image)
-        if coords is None or any(c.denominator != 1 for c in coords):
+        coords = solve_integral(basis, linear.mul_vector(basis.row(j)))
+        if coords is None:
             raise ValueError("map does not preserve the lattice")
-        new_cols.append([int(c) for c in coords])
+        new_cols.append(coords)
     new_linear = IntMatrix.from_rows(
         [[new_cols[j][i] for j in range(n)] for i in range(n)]
     )
-    t_coords = solve_in_rowspace(basis, [Fraction(x, translation.denominator) for x in translation.numerators])
+    t_coords = solve_in_rowspace(basis, translation.numerators, translation.denominator)
     if t_coords is None:
         raise ValueError("translation outside the rational span of the lattice")
     return AffineTorusMap(new_linear, RatVector.from_fractions(t_coords))

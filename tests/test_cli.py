@@ -67,6 +67,25 @@ def test_verify_all_passes(capsys):
     assert "23/23 scenarios pass" in out
 
 
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_verify_all_parses_each_file_once(capsys, monkeypatch, fmt):
+    from stablepi1 import scenarios
+
+    parsed = []
+    parse_lines = scenarios._parse_lines
+
+    def counting(path):
+        parsed.append(path)
+        return parse_lines(path)
+
+    monkeypatch.setattr(scenarios, "_parse_lines", counting)
+    code, out, _err = run_cli(capsys, ["verify-all", "--format", fmt])
+    assert code == 0
+    assert len(parsed) == len(set(parsed)) == 23
+    if fmt == "md":
+        assert "| B1 | 4 | 4 | yes | yes | yes | bi-elliptic quotient" in out
+
+
 def test_verify_all_json(capsys):
     code, out, _err = run_cli(capsys, ["verify-all", "--format", "json"])
     assert code == 0

@@ -136,6 +136,16 @@ class TestRun:
         assert any("free action" in c for c in r.checks)
         assert any("3 points" in c for c in r.checks)
 
+    def test_cover_group_with_fixed_point_rejected(self, tmp_path):
+        # without its translation, the second generator of B1 fixes u = v = 0;
+        # the group keeps order 4, so only the freeness check can reject it
+        text = (bundled_catalogue_dir() / "B1.scn").read_text()
+        path = tmp_path / "B1.scn"
+        path.write_text(text.replace("gen2.translation 0 1 0 0", "gen2.translation 0 0 0 0"))
+        r = run_scenario(load_scenario(path))
+        assert not r.passed
+        assert r.error == "ValidationError: bi-elliptic group action is not free"
+
     def test_reducible_configuration_trivial(self):
         s = load_scenario(bundled_catalogue_dir() / "E5red.scn")
         r = run_scenario(s)

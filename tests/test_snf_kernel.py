@@ -11,6 +11,7 @@ import io
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -179,3 +180,21 @@ def test_sympy_oracle():
         assert inv.free_rank == c - len(nonzero), rows
         assert inv.torsion == tuple(f for f in nonzero if f > 1), rows
     assert shapes == {"tall", "wide", "square"}
+
+
+def largest_pivot(m, t, rows):
+    """A broken pivot search: the entry of largest absolute value."""
+    cells = [(abs(m[i][j]), i, j) for i in range(t, rows) for j in range(t, len(m[i])) if m[i][j]]
+    if not cells:
+        return None
+    _a, i, j = max(cells)
+    return i, j
+
+
+@pytest.mark.parametrize("rows", [[[2, 3]], [[4, 6, 9], [10, 15, 7]], [[3, 0], [0, 5]]])
+def test_pivot_that_does_not_shrink_fails_fast(rows, monkeypatch):
+    monkeypatch.setattr(intlin, "_min_pivot", largest_pivot)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="did not shrink at diagonal position 0"):
+        cokernel_invariants(IntMatrix.from_rows(rows), len(rows[0]))
+    assert time.perf_counter() - start < 1.0

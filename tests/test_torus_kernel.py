@@ -1,0 +1,192 @@
+"""Differential tests of the integer-only torus layer.
+
+``torus.compose``, ``IntMatrix.mul``, ``intlin.solve_in_rowspace`` and
+``intlin.solve_integral`` work on integers only.  Against the ``Fraction``
+versions they replaced (``tests/reference_torus.py``) they must return equal
+results on seeded random inputs, and the cover scenarios B1 and B2 must get
+the same group closure and the same conjugated deck transformation.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from reference_torus import (
+    reference_compose,
+    reference_conjugate_into_lattice,
+    reference_mul,
+    reference_solve_in_rowspace,
+    reference_solve_integral,
+)
+from stablepi1 import torus
+from stablepi1.intlin import (
+    IntMatrix,
+    RatVector,
+    hermite_normal_form,
+    solve_in_rowspace,
+    solve_integral,
+)
+from stablepi1.scenarios import bundled_catalogue_dir, load_scenario
+from stablepi1.torus import AffineTorusMap, compose, conjugate_into_lattice, generated_group
+
+
+def random_map(rng, n):
+    linear = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+    den = rng.randint(1, 12)
+    nums = tuple(rng.randint(-3 * den, 3 * den) for _ in range(n))
+    return AffineTorusMap(linear, RatVector(nums, den))
+
+
+def test_compose_matches_reference():
+    rng = random.Random(4)
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        f, g = random_map(rng, n), random_map(rng, n)
+        got, want = compose(f, g), reference_compose(f, g)
+        assert got == want
+        h = random_map(rng, n)
+        assert compose(got, h) == reference_compose(want, h)
+
+
+def test_compose_rank_mismatch():
+    rng = random.Random(5)
+    with pytest.raises(ValueError):
+        compose(random_map(rng, 2), random_map(rng, 4))
+
+
+def test_mul_matches_reference():
+    rng = random.Random(6)
+    shapes = [(0, 0, 0), (0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)]
+    shapes += [tuple(rng.randint(1, 7) for _ in range(3)) for _ in range(200)]
+    for r, k, c in shapes:
+        a = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(k)] for _ in range(r)], cols=k)
+        b = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(c)] for _ in range(k)], cols=c)
+        assert a.mul(b) == reference_mul(a, b)
+        vec = [rng.randint(-9, 9) for _ in range(k)]
+        assert a.mul_vector(vec) == [sum(x * y for x, y in zip(a.row(i), vec)) for i in range(r)]
+    with pytest.raises(ValueError):
+        IntMatrix.identity(2).mul(IntMatrix.identity(3))
+
+
+def full_rank(rng, n):
+    while True:
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if IntMatrix.from_rows(rows).det():
+            return rows
+
+
+def bases(rng):
+    """(rows, ambient rank) pairs: full-rank HNF, full-rank non-echelon,
+    HNF of at most n random rows, dependent rows, no rows."""
+    out = []
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        out.append((hermite_normal_form(IntMatrix.from_rows(full_rank(rng, n))).to_rows(), n))
+        out.append((full_rank(rng, n), n))
+        k = rng.randint(1, n)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(k)]
+        out.append((hermite_normal_form(IntMatrix.from_rows(rows)).to_rows(), n))
+        # a combination of the others, a copy and a zero row
+        extra = [sum(rng.randint(-2, 2) * row[j] for row in rows) for j in range(n)]
+        dependent = rows + [extra, list(rows[0]), [0] * n]
+        rng.shuffle(dependent)
+        out.append((dependent, n))
+        out.append(([], n))
+    return out
+
+
+def targets(rng, rows, n):
+    """An integer combination of the rows, the same moved by halves over a
+    random denominator, a rational combination, a random integer vector and
+    zero."""
+    k = len(rows)
+    coeffs = [rng.randint(-6, 6) for _ in range(k)]
+    integral = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    den = rng.randint(2, 12)
+    rational = [Fraction(x + rng.choice((0, 1)) * den // 2, den) for x in integral]
+    half = [Fraction(rng.randint(-6, 6), rng.randint(1, 9)) for _ in range(k)]
+    rational_span = [sum((c * row[j] for c, row in zip(half, rows)), Fraction(0)) for j in range(n)]
+    free = [rng.randint(-9, 9) for _ in range(n)]
+    return [integral, rational, rational_span, free, [0] * n]
+
+
+def test_solve_matches_reference():
+    rng = random.Random(7)
+    kinds = {"none": 0, "fraction": 0, "integral": 0, "not integral": 0}
+    for rows, n in bases(rng):
+        basis = IntMatrix.from_rows(rows, cols=n)
+        for target in targets(rng, rows, n):
+            want = reference_solve_in_rowspace(basis, target)
+            got = solve_in_rowspace(basis, target)
+            assert got == want, (rows, target)
+            if want is not None:
+                assert all(type(x) is Fraction for x in got)
+            # the same target as integer numerators over one denominator
+            vec = RatVector.from_fractions(target)
+            assert solve_in_rowspace(basis, list(vec.numerators), vec.denominator) == want
+            want_int = reference_solve_integral(basis, target)
+            assert solve_integral(basis, target) == want_int, (rows, target)
+            if want is None:
+                kinds["none"] += 1
+            elif want_int is None:
+                kinds["not integral"] += 1
+            else:
+                kinds["integral"] += 1
+                assert all(type(x) is int for x in solve_integral(basis, target))
+            if any(type(x) is Fraction and x.denominator != 1 for x in target):
+                kinds["fraction"] += 1
+    assert all(kinds.values()), kinds
+
+
+def test_solve_edge_cases():
+    two = IntMatrix.from_rows([[2, 0], [0, 2]])
+    assert solve_integral(two, [1, 0]) is None
+    assert solve_in_rowspace(two, [1, 0]) == [Fraction(1, 2), 0]
+    assert solve_in_rowspace(two, [1, 0], 3) == [Fraction(1, 6), 0]
+    assert solve_integral(IntMatrix.zeros(0, 3), [0, 0, 0]) == []
+    assert solve_in_rowspace(IntMatrix.zeros(0, 3), [0, 1, 0]) is None
+    assert solve_integral(IntMatrix.zeros(2, 0), []) == [0, 0]
+    with pytest.raises(ValueError):
+        solve_in_rowspace(two, [1, 2, 3])
+    with pytest.raises(ValueError):
+        solve_integral(two, [1])
+
+
+def cover_file(name):
+    """The raw ``matrix`` and ``vector`` entries of a bundled cover scenario."""
+    lines = [
+        line.split("#", 1)[0].split()
+        for line in (bundled_catalogue_dir() / f"{name}.scn").read_text().splitlines()
+    ]
+    lines = [toks for toks in lines if toks]
+    matrices, vectors = {}, {}
+    for idx, toks in enumerate(lines):
+        if toks[0] == "matrix":
+            r = int(toks[2])
+            matrices[toks[1]] = IntMatrix.from_rows(
+                [[int(x) for x in row] for row in lines[idx + 1 : idx + 1 + r]]
+            )
+        elif toks[0] == "vector":
+            vectors[toks[1]] = [int(x) for x in toks[2:]]
+    return matrices, vectors
+
+
+@pytest.mark.parametrize("name", ["B1", "B2"])
+def test_cover_closure_and_deck_unchanged(name, monkeypatch):
+    scenario = load_scenario(bundled_catalogue_dir() / f"{name}.scn")
+    gens = scenario.payload.group_gens
+    got = generated_group(gens)
+    matrices, vectors = cover_file(name)
+    args = (
+        matrices["deck.linear"],
+        RatVector.integers(vectors["deck.translation"]),
+        matrices["cover_lattice"],
+    )
+    deck = conjugate_into_lattice(*args)
+    assert deck == scenario.payload.deck
+    assert deck == reference_conjugate_into_lattice(*args)
+    # the same breadth-first closure with the Fraction composition
+    monkeypatch.setattr(torus, "compose", reference_compose)
+    assert generated_group(gens) == got
+    assert len(got) == scenario.payload.group_order
