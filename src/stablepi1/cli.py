@@ -23,7 +23,7 @@ from .scenarios import (
 )
 
 
-def _report_md(report, meta=None):
+def _report_md(report):
     lines = [f"## {report.scenario}", ""]
     lines.append(f"- computed order: {report.order}")
     lines.append(f"- cyclic: {report.cyclic}")
@@ -92,7 +92,7 @@ def _cmd_run(args):
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
-        print(_report_md(report, match.meta))
+        print(_report_md(report))
     return 0 if report.passed else 1
 
 def _cmd_verify_all(args):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .intlin import AbelianInvariants, IntMatrix, cokernel_invariants
+from .intlin import AbelianInvariants, IntMatrix, cokernel_invariants, lattice_contains
 
 DEFAULT_MAX_COSETS = 10**6
 
@@ -163,8 +163,6 @@ class GroupHom:
         if method == "abelianization":
             rows = [_exponent_vector(w, self.target.ngens) for w in self.target.relators]
             lattice = IntMatrix.from_rows(rows, cols=self.target.ngens)
-            from .intlin import lattice_contains
-
             return all(
                 lattice_contains(lattice, _exponent_vector(self.map_word(r), self.target.ngens))
                 for r in self.source.relators
@@ -457,24 +455,6 @@ def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
     return _enumerate(p, max_cosets).nlive
 
 
-def word_is_trivial(p: Presentation, word, max_cosets=DEFAULT_MAX_COSETS) -> bool:
-    """Exact word problem for groups that enumerate within the limit."""
-    word = reduce_word(word)
-    _validate_word(word, p.ngens)
-    if p.ngens == 0:
-        return True
-    return _enumerate(p, max_cosets).trace_is_trivial(word)
-
-
-def is_cyclic_of_order(p: Presentation, n: int, max_cosets=DEFAULT_MAX_COSETS) -> bool:
-    """Certify |G| = n together with a surjection onto Z/n."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    if todd_coxeter_order(p, max_cosets) != n:
-        return False
-    return cyclic_given_order(n, abelianization(p))
-
-
 def cyclic_given_order(n: int, inv: AbelianInvariants) -> bool:
     """Whether a group of order n with abelianization ``inv`` is cyclic.
 
@@ -484,79 +464,3 @@ def cyclic_given_order(n: int, inv: AbelianInvariants) -> bool:
     if n == 1:
         return inv.is_trivial
     return inv.free_rank == 0 and inv.torsion == (n,)
-
-
-# -- Tietze simplification ----------------------------------------------
-
-
-def _cyclic_key(word):
-    candidates = []
-    for w in (word, inverse_word(word)):
-        for k in range(len(w)):
-            candidates.append(w[k:] + w[:k])
-    return min(candidates) if candidates else ()
-
-
-def _normalise_relators(rels):
-    out = []
-    seen = set()
-    for w in rels:
-        w = cyclically_reduce(reduce_word(tuple(w)))
-        if not w:
-            continue
-        key = _cyclic_key(w)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(w)
-    return out
-
-
-def tietze_simplify(p: Presentation) -> Presentation:
-    """Heuristic normaliser: eliminate generators defined by relators of
-    length <= 2, drop trivial and duplicate relators.
-
-    The result presents an isomorphic group with at most as many generators.
-    This is not a canonical form; group equality is always certified through
-    (order, abelianisation), never through syntactic comparison.
-    """
-    names = list(p.names)
-    rels = _normalise_relators(p.relators)
-    while True:
-        plan = None
-        for w in rels:
-            if len(w) == 1:
-                plan = (abs(w[0]) - 1, ())
-                break
-            if len(w) == 2 and abs(w[0]) != abs(w[1]):
-                x, y = w
-                # x^s y^t = 1  =>  x = y^(-t*s)
-                gen = abs(x) - 1
-                s = 1 if x > 0 else -1
-                plan = (gen, (-y * s,))
-                break
-        if plan is None:
-            break
-        gen, repl = plan
-        inv_repl = inverse_word(repl)
-        rewritten = []
-        for w in rels:
-            out = []
-            for letter in w:
-                if abs(letter) - 1 == gen:
-                    out.extend(repl if letter > 0 else inv_repl)
-                else:
-                    out.append(letter)
-            rewritten.append(out)
-        del names[gen]
-        shifted = []
-        for w in rewritten:
-            nw = []
-            for letter in w:
-                idx = abs(letter) - 1
-                if idx > gen:
-                    idx -= 1
-                nw.append((idx + 1) * (1 if letter > 0 else -1))
-            shifted.append(nw)
-        rels = _normalise_relators(shifted)
-    return Presentation(tuple(names), tuple(rels))

@@ -436,7 +436,12 @@ def _certify(pres, max_cosets, checks):
     return order, cyclic, inv
 
 
-def _run_vankampen(payload, max_cosets, checks):
+def _run_constant(payload, checks):
+    checks.append("rigid gluing: simply connected by construction")
+    return fpgroup.trivial_presentation()
+
+
+def _run_vankampen(payload, checks):
     src = vankampen.pi1_presentation(payload.dbar)
     tgt = vankampen.pi1_presentation(payload.d)
     rank = len(payload.dbar.edges) - len(payload.dbar.vertices) + 1
@@ -444,11 +449,11 @@ def _run_vankampen(payload, max_cosets, checks):
         raise ValidationError("spanning-tree rank disagrees with Euler count")
     checks.append(f"double-curve skeleton has graph rank {rank}")
     hom = vankampen.induced_hom(payload.gluing, src, tgt)
-    trivial = fpgroup.trivial_presentation()
-    to_trivial = fpgroup.GroupHom(src.presentation, trivial, ((),) * src.presentation.ngens)
-    glued = vankampen.glue_fundamental_group(trivial, to_trivial, hom)
     checks.append("glued over a simply connected normalisation")
-    return glued
+    # the amalgam over a trivial normalisation group: pi_1(D) / <<hom(c)^-1>>
+    return fpgroup.quotient_by_normal_closure(
+        tgt.presentation, [fpgroup.inverse_word(w) for w in hom.images]
+    )
 
 
 def _run_bitri(payload, checks):
@@ -499,9 +504,10 @@ def _run_cover(payload, checks):
         raise ValidationError("bi-elliptic group action is not free")
     checks.append(f"free action of a group of order {payload.group_order}")
 
-    if torus.map_order(payload.deck, cap=64) != payload.deck_order:
+    powers = torus.generated_group([payload.deck], cap=64)
+    if len(powers) != payload.deck_order:
         raise ValidationError("deck transformation has the wrong order")
-    if not torus.is_free_action([payload.deck]):
+    if any(torus.has_fixed_point(e) for e in powers if not e.is_identity):
         raise ValidationError("deck transformation is not free")
     checks.append(f"deck transformation of order {payload.deck_order} acts freely")
 
@@ -554,26 +560,43 @@ def _run_isogeny(payload, checks):
     return fpgroup.cyclic_presentation(order)
 
 
+_RUNNERS = {
+    VanKampenPayload: _run_vankampen,
+    ConstantPayload: _run_constant,
+    IsogenyPayload: _run_isogeny,
+    BiTriPayload: _run_bitri,
+    ReduciblePayload: _run_reducible,
+    CoverPayload: _run_cover,
+}
+
+
+def _failed_report(sid, exc, expected_order=0, expected_cyclic=False, elapsed_ms=0.0, **rest):
+    """Failed report carrying ``exc``; the defaults are those of a file that
+    did not parse, and ``rest`` passes checks and meta on to the Report."""
+    return Report(
+        scenario=sid,
+        order=None,
+        cyclic=None,
+        abelianization=None,
+        presentation="",
+        expected_order=expected_order,
+        expected_cyclic=expected_cyclic,
+        verdict="fail",
+        elapsed_ms=elapsed_ms,
+        error=f"{type(exc).__name__}: {exc}",
+        **rest,
+    )
+
+
 def run_scenario(s: Scenario, max_cosets=DEFAULT_MAX_COSETS) -> Report:
     """Compute the scenario's fundamental-group invariants and compare."""
     start = time.perf_counter()
     checks = []
     try:
-        if s.kind == "vankampen":
-            pres = _run_vankampen(s.payload, max_cosets, checks)
-        elif s.kind == "constant":
-            pres = fpgroup.trivial_presentation()
-            checks.append("rigid gluing: simply connected by construction")
-        elif s.kind == "parametric":
-            pres = _run_isogeny(s.payload, checks)
-        elif isinstance(s.payload, BiTriPayload):
-            pres = _run_bitri(s.payload, checks)
-        elif isinstance(s.payload, ReduciblePayload):
-            pres = _run_reducible(s.payload, checks)
-        elif isinstance(s.payload, CoverPayload):
-            pres = _run_cover(s.payload, checks)
-        else:
+        runner = _RUNNERS.get(type(s.payload))
+        if runner is None:
             raise ValidationError(f"no runner for kind {s.kind}")
+        pres = runner(s.payload, checks)
         order, cyclic, inv = _certify(pres, max_cosets, checks)
         elapsed = (time.perf_counter() - start) * 1000.0
         verdict = (
@@ -596,18 +619,13 @@ def run_scenario(s: Scenario, max_cosets=DEFAULT_MAX_COSETS) -> Report:
         )
     except Exception as exc:  # computational failures become failed reports
         elapsed = (time.perf_counter() - start) * 1000.0
-        return Report(
-            scenario=s.id,
-            order=None,
-            cyclic=None,
-            abelianization=None,
-            presentation="",
+        return _failed_report(
+            s.id,
+            exc,
             expected_order=s.expected_order,
             expected_cyclic=s.expected_cyclic,
-            verdict="fail",
             elapsed_ms=round(elapsed, 3),
             checks=tuple(checks),
-            error=f"{type(exc).__name__}: {exc}",
             meta=s.meta,
         )
 
@@ -628,20 +646,7 @@ def verify_catalogue(directory=None, max_cosets=DEFAULT_MAX_COSETS):
         try:
             scenario = load_scenario(path)
         except (ParseError, ValidationError) as exc:
-            reports.append(
-                Report(
-                    scenario=path.stem,
-                    order=None,
-                    cyclic=None,
-                    abelianization=None,
-                    presentation="",
-                    expected_order=0,
-                    expected_cyclic=False,
-                    verdict="fail",
-                    elapsed_ms=0.0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
+            reports.append(_failed_report(path.stem, exc))
             continue
         reports.append(run_scenario(scenario, max_cosets))
     reports.sort(key=lambda r: r.scenario)

@@ -44,25 +44,6 @@ class InvalidParams(ValueError):
 
 
 @dataclass(frozen=True)
-class TorusLattice:
-    """Marker for a torus H_1 lattice: rank, basis labels, global scaling."""
-
-    rank: int
-    labels: tuple
-    denominator: int = 1
-
-    def __post_init__(self):
-        if self.rank < 2 or self.rank % 2:
-            raise ValueError("torus rank must be even and >= 2")
-        labels = tuple(str(x) for x in self.labels)
-        if len(labels) != self.rank or len(set(labels)) != self.rank:
-            raise ValueError("need one distinct label per basis vector")
-        if self.denominator < 1:
-            raise ValueError("scaling denominator must be positive")
-        object.__setattr__(self, "labels", labels)
-
-
-@dataclass(frozen=True)
 class AffineTorusMap:
     """x -> linear*x + translation on R^n / Z^n; translation kept in [0,1)."""
 
@@ -87,11 +68,6 @@ class AffineTorusMap:
 
 def affine_identity(rank):
     return AffineTorusMap(IntMatrix.identity(rank), RatVector.zero(rank))
-
-
-def translation_map(fractions):
-    vec = RatVector.from_fractions(fractions)
-    return AffineTorusMap(IntMatrix.identity(len(vec)), vec)
 
 
 def compose(f: AffineTorusMap, g: AffineTorusMap) -> AffineTorusMap:

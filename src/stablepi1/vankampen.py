@@ -6,12 +6,16 @@ vertices and oriented edges) together with the boundary words of its
 spanning tree: non-tree edges are the generators, 2-cell boundaries rewrite
 to the relators.  A GluingMap between complexes induces a homomorphism edge
 by edge, and the group of the glued surface is the amalgamated product of
-the two sides over the double curve.
+the two sides over the double curve.  When the normalisation is simply
+connected, as for every catalogue scenario, that amalgam is pi_1(D) modulo
+the normal closure of the image of pi_1(D-bar), and the scenario runner
+takes this quotient directly; glue_fundamental_group builds the general
+pushout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .fpgroup import GroupHom, Presentation, amalgamated_product, reduce_word
 
@@ -33,6 +37,9 @@ class GluingComplex:
     edges: tuple
     two_cells: tuple
     basepoint: str
+    # BFS spanning tree: vertex -> None (basepoint) or the tree edge into it
+    # as (label, +1/-1, tail vertex)
+    tree: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         vertices = tuple(str(v) for v in self.vertices)
@@ -73,33 +80,24 @@ class GluingComplex:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "two_cells", tuple(cells))
-        if len(self._bfs_order()) != len(vertices):
+        tree = self._spanning_tree()
+        if len(tree) != len(vertices):
             raise DisconnectedComplex("1-skeleton is not connected")
+        object.__setattr__(self, "tree", tree)
 
-    def _bfs_order(self):
-        """BFS from the basepoint, edges scanned in declared order; returns
-        the discovery order and, per vertex, the signed tree edge into it."""
+    def _spanning_tree(self):
+        """BFS from the basepoint, edges scanned in declared order."""
         parent = {self.basepoint: None}
         order = [self.basepoint]
-        queue = [self.basepoint]
-        while queue:
-            u = queue.pop(0)
+        for u in order:  # grows while it is walked
             for label, s, t in self.edges:
                 if s == u and t not in parent:
-                    parent[t] = (label, 1)
+                    parent[t] = (label, 1, s)
                     order.append(t)
-                    queue.append(t)
                 elif t == u and s not in parent:
-                    parent[s] = (label, -1)
+                    parent[s] = (label, -1, t)
                     order.append(s)
-                    queue.append(s)
-        self.__dict__.setdefault("_tree_cache", (order, parent))
-        return order
-
-    def _tree(self):
-        if "_tree_cache" not in self.__dict__:
-            self._bfs_order()
-        return self.__dict__["_tree_cache"]
+        return parent
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,40 +150,27 @@ def pi1_presentation(c: GluingComplex) -> Pi1Data:
     rewritten over non-tree edges, is a relator.  The loop basis records the
     tree-path conjugated loop of every generator for use by induced_hom.
     """
-    order, parent = c._tree()
-    if len(order) != len(c.vertices):
-        raise DisconnectedComplex("1-skeleton is not connected")
-    tree_edges = {parent[v][0] for v in order if parent[v] is not None}
+    parent = c.tree
+    tree_edges = {edge[0] for edge in parent.values() if edge is not None}
 
     def path_from_base(v):
         steps = []
         while parent[v] is not None:
-            label, sign = parent[v]
+            label, sign, v = parent[v]
             steps.append((label, sign))
-            s, t = next((s, t) for (l, s, t) in c.edges if l == label)
-            v = s if sign == 1 else t
         steps.reverse()
         return steps
 
     generators = [e for e in c.edges if e[0] not in tree_edges]
     names = tuple(e[0] for e in generators)
     edge_generator = {label: i for i, (label, _s, _t) in enumerate(generators)}
-
-    def rewrite(path):
-        word = []
-        for label, sign in path:
-            g = edge_generator.get(label)
-            if g is not None:
-                word.append(sign * (g + 1))
-        return reduce_word(word)
-
-    relators = tuple(rewrite(cell) for cell in c.two_cells)
     loops = []
     for label, s, t in generators:
         back = [(l, -sg) for (l, sg) in reversed(path_from_base(t))]
         loops.append(tuple(path_from_base(s) + [(label, 1)] + back))
-    presentation = Presentation(names, relators)
-    return Pi1Data(presentation, tuple(loops), edge_generator, c)
+    free = Pi1Data(Presentation(names, ()), tuple(loops), edge_generator, c)
+    relators = tuple(path_word(free, cell) for cell in c.two_cells)
+    return replace(free, presentation=Presentation(names, relators))
 
 
 def path_word(pi1: Pi1Data, path):

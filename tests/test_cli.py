@@ -1,6 +1,7 @@
 """Command-line behaviour: formats, exit codes, stdin handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -148,3 +149,29 @@ def test_max_cosets_flag_overrides_bad_env(capsys, monkeypatch):
     monkeypatch.setenv("STABLEPI1_MAX_COSETS", "abc")
     code, _out, _err = run_cli(capsys, ["run", "P1", "--max-cosets", "100"])
     assert code == 0
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _without_elapsed(obj):
+    if isinstance(obj, dict):
+        return {k: _without_elapsed(v) for k, v in obj.items() if k != "elapsed_ms"}
+    if isinstance(obj, list):
+        return [_without_elapsed(v) for v in obj]
+    return obj
+
+
+def test_verify_all_json_matches_golden_report(capsys):
+    # tests/data/verify_all.json is `verify-all --format json` with every
+    # elapsed_ms key removed; any other byte of the reports must not drift
+    code, out, _err = run_cli(capsys, ["verify-all", "--format", "json"])
+    assert code == 0
+    got = json.dumps(_without_elapsed(json.loads(out)), indent=2) + "\n"
+    assert got == (DATA / "verify_all.json").read_text(encoding="utf-8")
+
+
+def test_verify_all_md_matches_golden_report(capsys):
+    code, out, _err = run_cli(capsys, ["verify-all", "--format", "md"])
+    assert code == 0
+    assert out == (DATA / "verify_all.md").read_text(encoding="utf-8")

@@ -45,6 +45,17 @@ EXPECTED_ORDERS = {
 }
 
 
+def run_b1_variant(tmp_path, *replacements):
+    """Run the bundled B1 scenario with each (old, new) text replaced."""
+    text = (bundled_catalogue_dir() / "B1.scn").read_text()
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "B1.scn"
+    path.write_text(text)
+    return run_scenario(load_scenario(path))
+
+
 class TestLoad:
     def test_bundled_p1(self):
         s = load_scenario(bundled_catalogue_dir() / "P1.scn")
@@ -139,12 +150,28 @@ class TestRun:
     def test_cover_group_with_fixed_point_rejected(self, tmp_path):
         # without its translation, the second generator of B1 fixes u = v = 0;
         # the group keeps order 4, so only the freeness check can reject it
-        text = (bundled_catalogue_dir() / "B1.scn").read_text()
-        path = tmp_path / "B1.scn"
-        path.write_text(text.replace("gen2.translation 0 1 0 0", "gen2.translation 0 0 0 0"))
-        r = run_scenario(load_scenario(path))
+        r = run_b1_variant(tmp_path, ("gen2.translation 0 1 0 0", "gen2.translation 0 0 0 0"))
         assert not r.passed
         assert r.error == "ValidationError: bi-elliptic group action is not free"
+
+    def test_cover_deck_of_wrong_order_rejected(self, tmp_path):
+        r = run_b1_variant(tmp_path, ("deck_order 4", "deck_order 2"))
+        assert not r.passed
+        assert r.error == "ValidationError: deck transformation has the wrong order"
+
+    def test_cover_deck_with_fixed_point_rejected(self, tmp_path):
+        # -I with zero translation has order 2 and fixes the origin
+        r = run_b1_variant(
+            tmp_path,
+            (
+                "matrix deck.linear 4 4\n0 0 1 0\n0 0 0 1\n1 0 0 0\n0 1 0 0\n",
+                "matrix deck.linear 4 4\n-1 0 0 0\n0 -1 0 0\n0 0 -1 0\n0 0 0 -1\n",
+            ),
+            ("deck.translation 0 1 0 0", "deck.translation 0 0 0 0"),
+            ("deck_order 4", "deck_order 2"),
+        )
+        assert not r.passed
+        assert r.error == "ValidationError: deck transformation is not free"
 
     def test_reducible_configuration_trivial(self):
         s = load_scenario(bundled_catalogue_dir() / "E5red.scn")
@@ -163,6 +190,20 @@ class TestRun:
         )
         r = run_scenario(wrong)
         assert not r.passed and r.order == 4 and r.error is None
+
+    def test_payload_without_runner_is_a_failed_report(self):
+        s = load_scenario(bundled_catalogue_dir() / "B1.scn")
+        odd = Scenario(
+            id=s.id,
+            kind=s.kind,
+            payload=object(),
+            expected_order=4,
+            expected_cyclic=True,
+            meta=s.meta,
+        )
+        r = run_scenario(odd)
+        assert not r.passed
+        assert r.error == f"ValidationError: no runner for kind {s.kind}"
 
     def test_report_dict_shape(self):
         s = load_scenario(bundled_catalogue_dir() / "P3.scn")
