@@ -1,7 +1,8 @@
 """Command-line front end: list, run and verify scenarios, print Smith forms.
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 usage or input
-error.  ``STABLEPI1_MAX_COSETS`` overrides the default coset limit.
+error, a catalogue directory without scenario files included.
+``STABLEPI1_MAX_COSETS`` overrides the default coset limit.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .fpgroup import DEFAULT_MAX_COSETS
 from .intlin import IntMatrix, smith_normal_form
@@ -205,6 +207,12 @@ def main(argv=None) -> int:
     elif args.max_cosets < 1:
         print("error: --max-cosets must be positive", file=sys.stderr)
         return 2
+    if args.command != "snf":
+        directory = args.catalogue_dir
+        directory = bundled_catalogue_dir() if directory is None else Path(directory)
+        if not any(directory.glob("*.scn")):
+            print(f"error: no scenario files in {directory}", file=sys.stderr)
+            return 2
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .intlin import AbelianInvariants, IntMatrix, cokernel_invariants, lattice_contains
+from .intlin import AbelianInvariants, IntMatrix, cokernel_invariants
 
 DEFAULT_MAX_COSETS = 10**6
 
@@ -130,8 +130,8 @@ def cyclic_presentation(n, name="t"):
 class GroupHom:
     """Homomorphism given by one target word per source generator.
 
-    Well-definedness (relators map to the identity) is checked on demand via
-    ``check_relations``; constructing the object only validates shapes.
+    Constructing the object only validates shapes; that relators map to the
+    identity is not checked.
     """
 
     source: Presentation
@@ -145,32 +145,6 @@ class GroupHom:
         for w in imgs:
             _validate_word(w, self.target.ngens)
         object.__setattr__(self, "images", imgs)
-
-    def map_word(self, word):
-        out = []
-        for letter in word:
-            img = self.images[abs(letter) - 1]
-            out.extend(img if letter > 0 else inverse_word(img))
-        return reduce_word(out)
-
-    def check_relations(self, method="abelianization", max_cosets=DEFAULT_MAX_COSETS):
-        """True when every source relator maps to a trivial target element.
-
-        method 'abelianization' is a necessary check only (image exponent
-        vector lies in the target relator lattice); 'coset' is exact but
-        needs the target to enumerate within max_cosets.
-        """
-        if method == "abelianization":
-            rows = [_exponent_vector(w, self.target.ngens) for w in self.target.relators]
-            lattice = IntMatrix.from_rows(rows, cols=self.target.ngens)
-            return all(
-                lattice_contains(lattice, _exponent_vector(self.map_word(r), self.target.ngens))
-                for r in self.source.relators
-            )
-        if method == "coset":
-            table = _enumerate(self.target, max_cosets)
-            return all(table.trace_is_trivial(self.map_word(r)) for r in self.source.relators)
-        raise ValueError("method must be 'abelianization' or 'coset'")
 
 
 # -- abelianization ----------------------------------------------------
@@ -256,7 +230,7 @@ class _CosetTable:
 
     Invariant between public calls: no live entry points at a dead coset.
     ``_coincidence`` restores it before it returns and a scan returns right
-    after a coincidence, so scans, compaction and traces follow entries
+    after a coincidence, so scans and compaction follow entries
     directly; union-find (``p``) is consulted only inside ``_coincidence``.
     """
 
@@ -429,18 +403,6 @@ class _CosetTable:
             alpha += 1
         return self.nlive
 
-    def trace_is_trivial(self, word):
-        coset = 1
-        for letter in word:
-            coset = self.cols[_column(letter)][coset]
-        return coset == 1
-
-
-def _enumerate(p: Presentation, max_cosets):
-    table = _CosetTable(p.ngens, p.relators, max_cosets)
-    table.enumerate()
-    return table
-
 
 def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
     """Group order by coset enumeration over the trivial subgroup.
@@ -452,7 +414,7 @@ def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
         raise ValueError("max_cosets must be >= 1")
     if p.ngens == 0:
         return 1
-    return _enumerate(p, max_cosets).nlive
+    return _CosetTable(p.ngens, p.relators, max_cosets).enumerate()
 
 
 def cyclic_given_order(n: int, inv: AbelianInvariants) -> bool:

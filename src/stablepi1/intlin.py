@@ -12,8 +12,7 @@ is the same whichever it builds:
 
 - ``cokernel_invariants``: the diagonal only, no transform;
 - ``smith_normal_form``: U and V;
-- ``membership``: U only;
-- ``saturation``: V^-1 only.
+- ``membership`` and ``saturation``: U only.
 
 While it is built, V is held as a list of its columns, so a column operation
 is one list comprehension; it is returned by rows.  A column operation on the
@@ -89,13 +88,6 @@ class IntMatrix:
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self):
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -288,8 +280,8 @@ def _identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _snf_core(rows_in, *, u=False, v=False, vinv=False):
-    """Smith form on a list of rows; returns (m, u, v, vinv, rank).
+def _snf_core(rows_in, *, u=False, v=False):
+    """Smith form on a list of rows; returns (m, u, v, rank).
 
     Only the transforms asked for are built; the others come back as None.
     V is built as a list of its columns and transposed at the end.
@@ -299,7 +291,6 @@ def _snf_core(rows_in, *, u=False, v=False, vinv=False):
     m = [list(row) for row in rows_in]
     u_rows = _identity_rows(r) if u else None
     vcols = _identity_rows(c) if v else None
-    vinv_rows = _identity_rows(c) if vinv else None
     t = 0
     while t < min(r, c):
         where = _min_pivot(m, t, r)
@@ -322,8 +313,6 @@ def _snf_core(rows_in, *, u=False, v=False, vinv=False):
                     row[t], row[j] = row[j], row[t]
                 if vcols is not None:
                     vcols[t], vcols[j] = vcols[j], vcols[t]
-                if vinv_rows is not None:
-                    vinv_rows[t], vinv_rows[j] = vinv_rows[j], vinv_rows[t]
             mt = m[t]
             if mt[t] < 0:
                 mt = m[t] = [-e for e in mt]
@@ -354,8 +343,6 @@ def _snf_core(rows_in, *, u=False, v=False, vinv=False):
                         row[j2] -= q * row[t]
                     if vcols is not None:
                         vcols[j2] = [a - q * b for a, b in zip(vcols[j2], vcols[t])]
-                    if vinv_rows is not None:
-                        vinv_rows[t] = [a + q * b for a, b in zip(vinv_rows[t], vinv_rows[j2])]
                 if mt[j2]:
                     clean = False
             if not clean:
@@ -381,12 +368,12 @@ def _snf_core(rows_in, *, u=False, v=False, vinv=False):
         t += 1
     if vcols is not None:
         vcols = [list(row) for row in zip(*vcols)]
-    return m, u_rows, vcols, vinv_rows, t
+    return m, u_rows, vcols, t
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Compute U*A*V = D with diagonal D, d_i >= 0 and d_i | d_{i+1}."""
-    m, u, v, _vinv, _rank = _snf_core(a.to_rows(), u=True, v=True)
+    m, u, v, _rank = _snf_core(a.to_rows(), u=True, v=True)
     return SnfResult(
         IntMatrix.from_rows(m, cols=a.cols),
         IntMatrix.from_rows(u, cols=a.rows),
@@ -400,7 +387,7 @@ def cokernel_invariants(a: IntMatrix, ambient_rank: int) -> AbelianInvariants:
         raise ValueError("rows of a must live in Z^ambient_rank")
     if a.rows == 0:
         return AbelianInvariants(ambient_rank, ())
-    m, _u, _v, _vinv, rank = _snf_core(a.to_rows())
+    m, _u, _v, rank = _snf_core(a.to_rows())
     diag = [m[i][i] for i in range(rank)]
     return AbelianInvariants(ambient_rank - rank, tuple(d for d in diag if d > 1))
 
@@ -474,7 +461,7 @@ def membership(t: RatVector, a: IntMatrix, lam: IntMatrix) -> bool:
         raise ValueError("a must have one row per coordinate of t")
     if lam.cols != n:
         raise ValueError("lam rows must live in the same ambient space as t")
-    _m, u, _v, _vinv, rank = _snf_core(a.to_rows(), u=True)
+    _m, u, _v, rank = _snf_core(a.to_rows(), u=True)
     den = t.denominator
     t_img = [sum(u[i][k] * t.numerators[k] for k in range(n)) for i in range(n)]
     free = range(rank, n)
@@ -490,13 +477,15 @@ def membership(t: RatVector, a: IntMatrix, lam: IntMatrix) -> bool:
 
 
 def saturation(a: IntMatrix) -> IntMatrix:
-    """Basis of { v : k*v in rowspan(a) for some k >= 1 }, in Hermite form."""
-    if a.rows == 0:
-        return IntMatrix.zeros(0, a.cols)
-    _m, _u, _v, vinv, rank = _snf_core(a.to_rows(), vinv=True)
-    if rank == 0:
-        return IntMatrix.zeros(0, a.cols)
-    return hermite_normal_form(IntMatrix.from_rows(vinv[:rank], cols=a.cols))
+    """Basis of { v : k*v in rowspan(a) for some k >= 1 }, in Hermite form.
+
+    With U*A*V = D, U*A = D*V^-1: row i < rank of U*A is d_i times row i of
+    V^-1, and those rows of V^-1 span the saturation.
+    """
+    m, u, _v, rank = _snf_core(a.to_rows(), u=True)
+    cols = [a.entries[j :: a.cols] for j in range(a.cols)]
+    rows = [[sum(map(mul, u[i], col)) // m[i][i] for col in cols] for i in range(rank)]
+    return hermite_normal_form(IntMatrix.from_rows(rows, cols=a.cols))
 
 
 def _integer_target(target, n):

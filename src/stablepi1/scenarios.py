@@ -152,7 +152,10 @@ class Report:
 
 def _parse_lines(path):
     out = []
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        raw = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     for lineno, line in enumerate(raw, start=1):
         line = line.split("#", 1)[0].strip()
         if line:
@@ -232,7 +235,8 @@ def load_scenario(path) -> Scenario:
                 fail(lineno, "meta lines are 'key value...'")
             meta[key] = " ".join(toks[1:])
         elif section == "expected":
-            if key == "order" and len(toks) == 2 and toks[1].isdigit():
+            # isdecimal, not isdigit: int() rejects digits such as '²'
+            if key == "order" and len(toks) == 2 and toks[1].isdecimal():
                 expected["order"] = int(toks[1])
             elif key == "cyclic" and len(toks) == 2 and toks[1] in ("yes", "no"):
                 expected["cyclic"] = toks[1] == "yes"
@@ -259,7 +263,7 @@ def load_scenario(path) -> Scenario:
                 fail(lineno, f"bad map line '{' '.join(toks)}'")
         elif section == "torus":
             if key == "matrix":
-                if len(toks) != 4 or not toks[2].isdigit() or not toks[3].isdigit():
+                if len(toks) != 4 or not toks[2].isdecimal() or not toks[3].isdecimal():
                     fail(lineno, "matrix lines are 'matrix NAME ROWS COLS'")
                 nrows, ncols = int(toks[2]), int(toks[3])
                 if nrows == 0:
@@ -353,9 +357,10 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
                 case=scalars["case"],
                 glue={"G1": 0, "G2": 1}.get(scalars.get("glue")),
             )
+            twist = int(meta["twist"]) if "twist" in meta else None
         except (KeyError, ValueError, torus.InvalidParams) as exc:
             raise ValidationError(f"{path}: bad bi-tri-elliptic parameters: {exc}") from exc
-        if "twist" in meta and torus.twisting_number(params) != int(meta["twist"]):
+        if twist is not None and torus.twisting_number(params) != twist:
             raise ValidationError(f"{path}: declared twist does not match the parameters")
         return BiTriPayload(params)
     if mode == "reducible":
@@ -429,6 +434,9 @@ def _check_node_counts(path, meta, dbar):
 
 def _certify(pres, max_cosets, checks):
     inv = fpgroup.abelianization(pres)
+    if inv.free_rank:
+        # a positive free rank proves the group infinite: do not enumerate
+        raise ValidationError(f"group is infinite: abelianization {inv}")
     order = fpgroup.todd_coxeter_order(pres, max_cosets)
     cyclic = fpgroup.cyclic_given_order(order, inv)
     checks.append(f"coset enumeration closed at order {order}")

@@ -154,36 +154,25 @@ def preimage_count(a: IntMatrix, t: RatVector) -> int:
     return abs(d)
 
 
-@dataclass(frozen=True)
-class SubtorusClass:
-    """Primitive middle-dimensional sublattice spanning a subtorus direction."""
-
-    rows: IntMatrix
-
-    def __post_init__(self):
-        if self.rows.rows * 2 != self.rows.cols:
-            raise ValueError("a subtorus class has rank/2 rows in rank columns")
-        sat = saturation(self.rows)
-        if hermite_normal_form(self.rows) != sat:
-            raise ValueError("class rows must form a saturated (primitive) sublattice")
-
-
-def subtorus_class(rows):
-    """Saturate generator rows into a SubtorusClass."""
+def subtorus_class(rows) -> IntMatrix:
+    """Primitive middle-dimensional sublattice spanning a subtorus direction:
+    the saturation of the generator rows, in Hermite form."""
     sat = saturation(IntMatrix.from_rows(rows))
-    return SubtorusClass(sat)
+    if sat.rows * 2 != sat.cols:
+        raise ValueError("a subtorus class has rank/2 rows in rank columns")
+    return sat
 
 
-def intersection_number(c1: SubtorusClass, c2: SubtorusClass) -> int:
+def intersection_number(c1: IntMatrix, c2: IntMatrix) -> int:
     """Pairing of two middle classes in the top wedge: |det| of the stack.
 
     For transverse subtori of a rank-4 torus this is the geometric
     intersection count.  Pulling back along a degree-n cover multiplies the
     pairing by n, so quotient products are pulled-back products over n.
     """
-    if c1.rows.cols != 4 or c2.rows.cols != 4:
+    if c1.cols != 4 or c2.cols != 4:
         raise ValueError("intersection pairing is implemented for rank-4 ambients")
-    stacked = IntMatrix.from_rows(c1.rows.to_rows() + c2.rows.to_rows())
+    stacked = IntMatrix.from_rows(c1.to_rows() + c2.to_rows())
     return abs(stacked.det())
 
 
@@ -373,7 +362,7 @@ def eplus_presentation(p: BiTriEllipticParams) -> fpgroup.Presentation:
 
     fbar_coords = IntMatrix.from_rows([in_basis(v) for v in fbar])
     fbar_sat = saturation(fbar_coords)
-    d, _u, v, _vinv, _rank = _snf_core(fbar_sat.to_rows(), v=True)
+    d, _u, v, _rank = _snf_core(fbar_sat.to_rows(), v=True)
     if tuple(d[i][i] for i in range(min(fbar_sat.rows, fbar_sat.cols))) != (1, 1):
         raise InvalidParams("curve sublattice failed to saturate")
 

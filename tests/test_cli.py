@@ -175,3 +175,13 @@ def test_verify_all_md_matches_golden_report(capsys):
     code, out, _err = run_cli(capsys, ["verify-all", "--format", "md"])
     assert code == 0
     assert out == (DATA / "verify_all.md").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["verify-all", "list"])
+@pytest.mark.parametrize("missing", [False, True])
+def test_directory_without_scenarios_is_a_usage_error(capsys, tmp_path, command, missing):
+    directory = tmp_path / "nonexistent" if missing else tmp_path
+    code, out, err = run_cli(capsys, [command, "--catalogue-dir", str(directory)])
+    assert code == 2
+    assert f"no scenario files in {directory}" in err
+    assert out == ""

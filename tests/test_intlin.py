@@ -187,7 +187,7 @@ class TestMembership:
             before = membership(t, a, lam)
             t2 = RatVector(tuple(u.mul_vector(list(t.numerators))), t.denominator)
             a2 = u.mul(a)
-            lam2 = lam.mul(u.transpose())
+            lam2 = lam.mul(mat([list(col) for col in zip(*u.to_rows())]))
             assert membership(t2, a2, lam2) == before
 
 

@@ -1,6 +1,9 @@
 """Scenario parsing, validation, runner behaviour, catalogue integrity."""
 
+import random
+import re
 import shutil
+import time
 
 import pytest
 
@@ -173,6 +176,23 @@ class TestRun:
         assert not r.passed
         assert r.error == "ValidationError: deck transformation is not free"
 
+    def test_infinite_group_is_refused_without_enumeration(self, tmp_path):
+        # pi_1(D) is free on the loop A and the normalisation is a point,
+        # so the group is Z; at the default limit enumeration would take
+        # seconds before giving up
+        path = tmp_path / "Z.scn"
+        path.write_text(
+            "meta\nid Z\nkind vankampen\nexpected\norder 1\ncyclic yes\n"
+            "complex dbar\nbasepoint P\nvertex P\n"
+            "complex d\nbasepoint Q\nvertex Q\nedge A Q Q\n"
+            "map\nvertex P Q\n"
+        )
+        start = time.perf_counter()
+        r = run_scenario(load_scenario(path))
+        assert time.perf_counter() - start < 1.0
+        assert not r.passed and r.order is None
+        assert r.error == "ValidationError: group is infinite: abelianization Z"
+
     def test_reducible_configuration_trivial(self):
         s = load_scenario(bundled_catalogue_dir() / "E5red.scn")
         r = run_scenario(s)
@@ -258,3 +278,77 @@ class TestCatalogue:
         assert smoothable["dP"] == "no"
         assert smoothable["E2"] == "unknown"
         assert smoothable["B1"] == "yes"
+
+
+# Tokens that replace one token of a line in the mutation test: digits that
+# str.isdigit accepts but int rejects, bare signs, junk, and keywords that
+# are valid in another section.
+POOL = ("²", "-", "x", "cell", "0", "-1", "7", "yes", "matrix", "edge", "meta")
+KINDS_OF_MUTATION = ("delete", "duplicate", "swap", "truncate", "replace", "non-UTF-8")
+
+
+def one_line_mutations(lines, rng):
+    """One mutation of each content line, of a kind drawn from
+    KINDS_OF_MUTATION: delete it, duplicate it, swap it with the next line,
+    cut it in half, replace a random token by one from POOL, or append a byte
+    that is not UTF-8.  Yields (label, file bytes)."""
+    for i, line in enumerate(lines):
+        toks = line.split("#", 1)[0].split()
+        if not toks:
+            continue
+        out = [x.encode() for x in lines]
+        kind = rng.choice(KINDS_OF_MUTATION)
+        if kind == "delete":
+            del out[i]
+        elif kind == "duplicate":
+            out.insert(i, out[i])
+        elif kind == "swap":
+            j = i + 1 if i + 1 < len(out) else i - 1
+            out[i], out[j] = out[j], out[i]
+        elif kind == "truncate":
+            out[i] = out[i][: len(out[i]) // 2]
+        elif kind == "replace":
+            k = rng.randrange(len(toks))
+            out[i] = " ".join(toks[:k] + [rng.choice(POOL)] + toks[k + 1 :]).encode()
+        else:
+            out[i] += b"\xff"
+        yield f"{kind} line {i + 1}", b"\n".join(out) + b"\n"
+
+
+class TestParserTotality:
+    @pytest.mark.parametrize(
+        "name, old, new, error",
+        [
+            ("P1.scn", "order 4", b"order 4\xff", ParseError),
+            ("P1.scn", "order 4", "order ²".encode(), ParseError),
+            ("R3.scn", "matrix isogeny 2 2", "matrix isogeny ² 2".encode(), ParseError),
+            ("E5.scn", "twist 5", b"twist x", ValidationError),
+        ],
+        ids=["non-UTF-8", "order-superscript", "matrix-superscript", "twist-x"],
+    )
+    def test_escape_is_a_clean_error(self, tmp_path, name, old, new, error):
+        data = (bundled_catalogue_dir() / name).read_bytes()
+        assert old.encode() in data
+        bad = tmp_path / name
+        bad.write_bytes(data.replace(old.encode(), new))
+        with pytest.raises(error, match=re.escape(str(bad))):
+            load_scenario(bad)
+
+    def test_one_line_mutations_of_every_bundled_file(self, tmp_path):
+        rng = random.Random(20261018)
+        escapes = []
+        count = 0
+        for src in sorted(bundled_catalogue_dir().glob("*.scn")):
+            path = tmp_path / src.name
+            for label, data in one_line_mutations(src.read_text().splitlines(), rng):
+                count += 1
+                path.write_bytes(data)
+                try:
+                    assert isinstance(load_scenario(path), Scenario)
+                except (ParseError, ValidationError) as exc:
+                    if str(path) not in str(exc):
+                        escapes.append((src.name, label, f"unnamed file: {exc}"))
+                except Exception as exc:  # anything else is a traceback for the user
+                    escapes.append((src.name, label, f"{type(exc).__name__}: {exc}"))
+        assert count > 700
+        assert not escapes, escapes[:10]

@@ -1,9 +1,11 @@
 """Differential tests of the Smith-form kernel.
 
-``intlin._snf_core`` builds only the transforms it is asked for.  Against the
-kernel it replaced (``tests/reference_snf.py``, which always builds U, V and
-V^-1) it must return the same diagonal form, rank and requested transforms,
-bit for bit, for every choice of transforms.  The public results are also
+``intlin._snf_core`` builds only the transforms it is asked for (U, V or
+both).  Against the kernel it replaced (``tests/reference_snf.py``, which
+always builds U, V and V^-1) it must return the same diagonal form, rank and
+requested transforms, bit for bit, for every choice of transforms.
+``saturation`` reads U only; it must equal the Hermite form of the first
+rank rows of the reference kernel's V^-1.  The public results are also
 compared with sympy's Smith form over ZZ when sympy is installed.
 """
 
@@ -18,9 +20,15 @@ import pytest
 from reference_snf import reference_snf_core
 from stablepi1 import intlin
 from stablepi1.cli import main
-from stablepi1.intlin import IntMatrix, cokernel_invariants, smith_normal_form
+from stablepi1.intlin import (
+    IntMatrix,
+    cokernel_invariants,
+    hermite_normal_form,
+    saturation,
+    smith_normal_form,
+)
 
-ACCUMULATORS = ("u", "v", "vinv")
+ACCUMULATORS = ("u", "v")
 SUBSETS = [
     frozenset(combo)
     for k in range(len(ACCUMULATORS) + 1)
@@ -113,7 +121,7 @@ def test_every_accumulator_subset_matches_reference(index):
     for subset in SUBSETS:
         got = intlin._snf_core(rows, **{name: True for name in subset})
         assert got[0] == want[0], (label, subset, "m")
-        assert got[4] == want[4], (label, subset, "rank")
+        assert got[3] == want[4], (label, subset, "rank")
         for slot, name in enumerate(ACCUMULATORS, start=1):
             if name in subset:
                 assert got[slot] == want[slot], (label, subset, name)
@@ -121,10 +129,25 @@ def test_every_accumulator_subset_matches_reference(index):
                 assert got[slot] is None, (label, subset, name)
 
 
+@pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_saturation_matches_reference_vinv(index):
+    label, rows = CORPUS[index]
+    a = IntMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
+    _m, _u, _v, vinv, rank = reference_snf_core(rows)
+    want = hermite_normal_form(IntMatrix.from_rows(vinv[:rank], cols=a.cols))
+    assert saturation(a) == want, label
+
+
 def test_input_rows_are_not_modified():
     rows = [[4, 6], [6, 9], [2, -3]]
-    intlin._snf_core(rows, u=True, v=True, vinv=True)
+    intlin._snf_core(rows, u=True, v=True)
     assert rows == [[4, 6], [6, 9], [2, -3]]
+
+
+def reference_without_vinv(rows_in, **_):
+    """The reference kernel in place of ``_snf_core``: U and V always built."""
+    m, u, v, _vinv, rank = reference_snf_core(rows_in)
+    return m, u, v, rank
 
 
 def snf_cli(monkeypatch, capsys, text, fmt):
@@ -139,7 +162,7 @@ def test_snf_cli_output_matches_reference_kernel(monkeypatch, capsys, fmt):
     for rows in samples:
         text = "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"
         with monkeypatch.context() as patch:
-            patch.setattr(intlin, "_snf_core", lambda rows_in, **_: reference_snf_core(rows_in))
+            patch.setattr(intlin, "_snf_core", reference_without_vinv)
             want = snf_cli(patch, capsys, text, fmt)
         assert snf_cli(monkeypatch, capsys, text, fmt) == want
 
