@@ -18,6 +18,7 @@ from .intlin import IntMatrix, smith_normal_form
 from .scenarios import (
     ParseError,
     ValidationError,
+    _int_token,
     bundled_catalogue_dir,
     load_catalogue,
     run_scenario,
@@ -125,7 +126,7 @@ def _cmd_snf(args):
         if not toks:
             continue
         try:
-            rows.append([int(t) for t in toks])
+            rows.append([_int_token(t) for t in toks])
         except ValueError:
             print("error: matrix entries must be integers", file=sys.stderr)
             return 2

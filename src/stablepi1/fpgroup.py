@@ -19,7 +19,6 @@ directly, without union-find.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 
 from .intlin import AbelianInvariants, IntMatrix, cokernel_invariants
 
@@ -84,26 +83,35 @@ def word_str(word, names):
 # -- presentations -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Generators (by name) and relators; relators are stored freely and
     cyclically reduced, with trivial relators dropped."""
 
-    names: tuple
-    relators: tuple
+    __slots__ = ("names", "relators")
 
-    def __post_init__(self):
-        names = tuple(str(n) for n in self.names)
+    def __init__(self, names, relators):
+        names = tuple(str(n) for n in names)
         if len(set(names)) != len(names):
             raise ValueError("generator names must be distinct")
         rels = []
-        for w in self.relators:
+        for w in relators:
             w = cyclically_reduce(reduce_word(tuple(w)))
             _validate_word(w, len(names))
             if w:
                 rels.append(w)
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "relators", tuple(rels))
+        self.names = names
+        self.relators = tuple(rels)
+
+    def __eq__(self, other):
+        if other.__class__ is not Presentation:
+            return NotImplemented
+        return (self.names, self.relators) == (other.names, other.relators)
+
+    def __hash__(self):
+        return hash((self.names, self.relators))
+
+    def __repr__(self):
+        return f"Presentation(names={self.names!r}, relators={self.relators!r})"
 
     @property
     def ngens(self):
@@ -126,7 +134,6 @@ def cyclic_presentation(n, name="t"):
     return Presentation((name,), ((1,) * n,))
 
 
-@dataclass(frozen=True)
 class GroupHom:
     """Homomorphism given by one target word per source generator.
 
@@ -134,17 +141,17 @@ class GroupHom:
     identity is not checked.
     """
 
-    source: Presentation
-    target: Presentation
-    images: tuple
+    __slots__ = ("source", "target", "images")
 
-    def __post_init__(self):
-        imgs = tuple(reduce_word(tuple(w)) for w in self.images)
-        if len(imgs) != self.source.ngens:
+    def __init__(self, source: Presentation, target: Presentation, images):
+        imgs = tuple(reduce_word(tuple(w)) for w in images)
+        if len(imgs) != source.ngens:
             raise ValueError("need exactly one image per source generator")
         for w in imgs:
-            _validate_word(w, self.target.ngens)
-        object.__setattr__(self, "images", imgs)
+            _validate_word(w, target.ngens)
+        self.source = source
+        self.target = target
+        self.images = imgs
 
 
 # -- abelianization ----------------------------------------------------
@@ -160,7 +167,7 @@ def _exponent_vector(word, ngens):
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Invariants of the abelianised group, via the relator exponent matrix."""
     rows = [_exponent_vector(w, p.ngens) for w in p.relators]
-    return cokernel_invariants(IntMatrix.from_rows(rows, cols=p.ngens), p.ngens)
+    return cokernel_invariants(IntMatrix._of_rows(rows, p.ngens), p.ngens)
 
 
 # -- quotients and products ---------------------------------------------

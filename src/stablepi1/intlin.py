@@ -21,20 +21,25 @@ column.  The pivot must shrink after every reduction that leaves a
 remainder and between two offender steps; a kernel defect that breaks this
 raises ``RuntimeError`` instead of looping.
 
-``solve_in_rowspace`` and ``solve_integral`` share one fraction-free
-Gauss-Jordan elimination on integers (``_gauss_jordan``): each updated row is
-divided by the gcd of its entries, and the pivot is the first row with a
-nonzero entry in its column, so dependent rows give the same solution as
-elimination over the rationals.  ``solve_integral`` divides exactly or
-returns None; ``solve_in_rowspace`` builds one ``Fraction`` per coordinate
-of the result and none before.
+The value types are plain ``__slots__`` classes, treated as immutable.  Their
+public constructors raise ``ValueError`` on anything but plain ints (a bool,
+float or str); matrices computed from checked ones (products, identities,
+normal forms) skip the check, and ``IntMatrix.identity`` is cached per rank.
+
+``solve_integral`` and the translation solve of
+``torus.conjugate_into_lattice`` share one fraction-free Gauss-Jordan
+elimination on integers (``_gauss_jordan``): each updated row is divided by
+the gcd of its entries, and the pivot is the first row with a nonzero entry
+in its column, so dependent rows give the same solution as elimination over
+the rationals.  Rational results are integer numerators over one
+denominator; no ``Fraction`` is built anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from collections import namedtuple
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 
 
@@ -42,22 +47,52 @@ class SingularMatrix(ValueError):
     """A nonsingular square matrix was required."""
 
 
-@dataclass(frozen=True)
+def _check_ints(values, what):
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{what} must be plain ints")
+
+
 class IntMatrix:
     """Immutable integer matrix, entries stored row-major."""
 
-    rows: int
-    cols: int
-    entries: tuple
+    __slots__ = ("rows", "cols", "entries")
+    _identities = {}  # rank -> the shared identity matrix
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows, cols, entries):
+        entries = tuple(entries)
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match rows*cols")
-        for e in self.entries:
-            if not isinstance(e, int) or isinstance(e, bool):
-                raise ValueError("matrix entries must be plain ints")
+        _check_ints(entries, "matrix entries")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    @classmethod
+    def _trusted(cls, rows, cols, entries):
+        """A matrix of a tuple of plain ints the caller vouches for: no checks."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        return m
+
+    @classmethod
+    def _of_rows(cls, rows, cols):
+        return cls._trusted(len(rows), cols, tuple(chain.from_iterable(rows)))
+
+    def __eq__(self, other):
+        if other.__class__ is not IntMatrix:
+            return NotImplemented
+        return self.entries == other.entries and (self.rows, self.cols) == (other.rows, other.cols)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"IntMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries})"
 
     @classmethod
     def from_rows(cls, rows, cols=None):
@@ -74,11 +109,20 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        """The n x n identity; one shared instance per rank."""
+        m = cls._identities.get(n)
+        if m is None:
+            if n < 0:
+                raise ValueError("matrix dimensions must be nonnegative")
+            entries = tuple(1 if i == j else 0 for i in range(n) for j in range(n))
+            m = cls._identities[n] = cls._trusted(n, n, entries)
+        return m
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return cls._trusted(rows, cols, (0,) * (rows * cols))
 
     def at(self, i, j):
         return self.entries[i * self.cols + j]
@@ -93,7 +137,7 @@ class IntMatrix:
         if self.cols != other.rows:
             raise ValueError("incompatible shapes for multiplication")
         columns = [other.entries[j :: other.cols] for j in range(other.cols)]
-        return IntMatrix(
+        return IntMatrix._trusted(
             self.rows,
             other.cols,
             tuple(sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in columns),
@@ -136,44 +180,51 @@ class IntMatrix:
         return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
 
 
-@dataclass(frozen=True)
 class RatVector:
     """Rational vector held as integer numerators over one positive denominator.
 
     Normalised so that gcd(numerators, denominator) = 1.
     """
 
-    numerators: tuple
-    denominator: int
+    __slots__ = ("numerators", "denominator")
 
-    def __post_init__(self):
-        nums = tuple(int(n) for n in self.numerators)
-        den = int(self.denominator)
+    def __init__(self, numerators, denominator):
+        nums = tuple(numerators)
+        den = denominator
+        _check_ints(nums + (den,), "numerators and denominator")
         if den == 0:
             raise ValueError("zero denominator")
         if den < 0:
             nums = tuple(-n for n in nums)
             den = -den
-        g = den
-        for n in nums:
-            g = gcd(g, n)
+        g = gcd(den, *nums)
         if g > 1:
             nums = tuple(n // g for n in nums)
             den //= g
-        object.__setattr__(self, "numerators", nums)
-        object.__setattr__(self, "denominator", den)
+        self.numerators = nums
+        self.denominator = den
+
+    def __eq__(self, other):
+        if other.__class__ is not RatVector:
+            return NotImplemented
+        return self.denominator == other.denominator and self.numerators == other.numerators
+
+    def __hash__(self):
+        return hash((self.numerators, self.denominator))
+
+    def __repr__(self):
+        return f"RatVector(numerators={self.numerators}, denominator={self.denominator})"
 
     @classmethod
     def from_fractions(cls, fracs):
-        fracs = [Fraction(f) for f in fracs]
-        den = 1
-        for f in fracs:
-            den = den * f.denominator // gcd(den, f.denominator)
-        return cls(tuple(int(f * den) for f in fracs), den)
+        """From ints and fractions: anything with a numerator and a denominator."""
+        fracs = list(fracs)
+        den = lcm(*(f.denominator for f in fracs))
+        return cls(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
 
     @classmethod
     def integers(cls, values):
-        return cls(tuple(int(v) for v in values), 1)
+        return cls(tuple(values), 1)
 
     @classmethod
     def zero(cls, n):
@@ -181,9 +232,6 @@ class RatVector:
 
     def __len__(self):
         return len(self.numerators)
-
-    def fractions(self):
-        return tuple(Fraction(n, self.denominator) for n in self.numerators)
 
     @property
     def is_zero(self):
@@ -197,24 +245,35 @@ class RatVector:
         return RatVector(tuple(n % self.denominator for n in self.numerators), self.denominator)
 
 
-@dataclass(frozen=True)
 class AbelianInvariants:
     """Free rank plus invariant factors d_1 | d_2 | ... (each >= 2)."""
 
-    free_rank: int
-    torsion: tuple
+    __slots__ = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank, torsion):
+        tor = tuple(torsion)
+        _check_ints((free_rank,) + tor, "free rank and torsion factors")
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        tor = tuple(int(d) for d in self.torsion)
         for d in tor:
             if d < 2:
                 raise ValueError("torsion factors must be >= 2")
         for a, b in zip(tor, tor[1:]):
             if b % a != 0:
                 raise ValueError("torsion factors must form a divisibility chain")
-        object.__setattr__(self, "torsion", tor)
+        self.free_rank = free_rank
+        self.torsion = tor
+
+    def __eq__(self, other):
+        if other.__class__ is not AbelianInvariants:
+            return NotImplemented
+        return (self.free_rank, self.torsion) == (other.free_rank, other.torsion)
+
+    def __hash__(self):
+        return hash((self.free_rank, self.torsion))
+
+    def __repr__(self):
+        return f"AbelianInvariants(free_rank={self.free_rank}, torsion={self.torsion})"
 
     @property
     def is_trivial(self):
@@ -243,13 +302,10 @@ class AbelianInvariants:
         return " + ".join(parts) if parts else "1"
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(namedtuple("SnfResult", "d u v")):
     """Diagonalisation U*A*V = D with U, V unimodular and d_i | d_{i+1}."""
 
-    d: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
+    __slots__ = ()
 
     def diagonal(self):
         return tuple(self.d.at(i, i) for i in range(min(self.d.rows, self.d.cols)))
@@ -375,9 +431,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Compute U*A*V = D with diagonal D, d_i >= 0 and d_i | d_{i+1}."""
     m, u, v, _rank = _snf_core(a.to_rows(), u=True, v=True)
     return SnfResult(
-        IntMatrix.from_rows(m, cols=a.cols),
-        IntMatrix.from_rows(u, cols=a.rows),
-        IntMatrix.from_rows(v, cols=a.cols),
+        IntMatrix._of_rows(m, a.cols),
+        IntMatrix._of_rows(u, a.rows),
+        IntMatrix._of_rows(v, a.cols),
     )
 
 
@@ -429,7 +485,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
                 if q:
                     m[i] = [x - q * y for x, y in zip(m[i], m[r])]
             r += 1
-    return IntMatrix.from_rows(m[:r], cols=a.cols)
+    return IntMatrix._of_rows(m[:r], a.cols)
 
 
 def lattice_contains(lattice: IntMatrix, vector) -> bool:
@@ -473,7 +529,7 @@ def membership(t: RatVector, a: IntMatrix, lam: IntMatrix) -> bool:
         ell = lam.row(idx)
         img = [sum(u[i][k] * den * ell[k] for k in range(n)) for i in range(n)]
         rows.append([img[i] for i in free])
-    return lattice_contains(IntMatrix.from_rows(rows, cols=len(target)), target)
+    return lattice_contains(IntMatrix._of_rows(rows, len(target)), target)
 
 
 def saturation(a: IntMatrix) -> IntMatrix:
@@ -485,7 +541,7 @@ def saturation(a: IntMatrix) -> IntMatrix:
     m, u, _v, rank = _snf_core(a.to_rows(), u=True)
     cols = [a.entries[j :: a.cols] for j in range(a.cols)]
     rows = [[sum(map(mul, u[i], col)) // m[i][i] for col in cols] for i in range(rank)]
-    return hermite_normal_form(IntMatrix.from_rows(rows, cols=a.cols))
+    return hermite_normal_form(IntMatrix._of_rows(rows, a.cols))
 
 
 def _integer_target(target, n):
@@ -512,7 +568,7 @@ def _gauss_jordan(rows: IntMatrix, nums):
     Each updated row is divided by its content.  Every row stays a nonzero
     multiple of the row that elimination over the rationals would hold, so
     the pivot choice (the first row with a nonzero entry in the column) and
-    the solution returned for dependent rows are the same as over Fraction.
+    the solution returned for dependent rows are the same as over the rationals.
     """
     n = rows.cols
     aug = [list(rows.entries[i::n]) + [nums[i]] for i in range(n)]
@@ -534,25 +590,6 @@ def _gauss_jordan(rows: IntMatrix, nums):
     if any(row[-1] for row in aug[r:]):
         return None
     return aug, pivots
-
-
-def solve_in_rowspace(rows: IntMatrix, target, denominator=1) -> "list[Fraction] | None":
-    """Solve x * rows = target / denominator over the rationals; None when
-    inconsistent.  ``target`` holds ints (numerators) or rationals.
-
-    ``rows`` is expected to have independent rows (a lattice basis); with
-    dependent rows any one solution is returned.
-    """
-    nums, den = _integer_target(target, rows.cols)
-    solved = _gauss_jordan(rows, nums)
-    if solved is None:
-        return None
-    aug, pivots = solved
-    den *= denominator
-    x = [Fraction(0)] * rows.rows
-    for row, col in zip(aug, pivots):
-        x[col] = Fraction(row[-1], row[col] * den)
-    return x
 
 
 def solve_integral(rows: IntMatrix, target) -> "list[int] | None":

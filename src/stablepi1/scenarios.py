@@ -11,6 +11,7 @@ section:
                                  (R following lines of C integers each) and
                                  ``vector NAME ints...`` lines
 
+Integers are ASCII digits, after a '-' where a negative value is allowed.
 Conventions for torus data: translations of group generators are integers
 over the declared ``denominator``; cover lattices, deck transformations and
 curve-class rows are written in the scaled coordinates (ambient coordinates
@@ -23,7 +24,7 @@ recomputes them from the payload and reports pass or fail.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from . import fpgroup, torus, vankampen
@@ -54,76 +55,52 @@ TORUS_SCALARS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class VanKampenPayload:
-    dbar: vankampen.GluingComplex
-    d: vankampen.GluingComplex
-    gluing: vankampen.GluingMap
+VanKampenPayload = namedtuple("VanKampenPayload", "dbar d gluing")
+BiTriPayload = namedtuple("BiTriPayload", "params")
+ReduciblePayload = namedtuple("ReduciblePayload", "endo_q endo_pi")
+# A bi-elliptic quotient verified through an explicit intermediate cover;
+# classes holds (name, IntMatrix of generator rows in scaled coordinates).
+CoverPayload = namedtuple("CoverPayload", "rank denominator group_gens group_order deck"
+                          " deck_order cover_lattice classes crossing crossing_count nodes_downstairs")
+IsogenyPayload = namedtuple("IsogenyPayload", "matrix")
+ConstantPayload = namedtuple("ConstantPayload", ())
+Scenario = namedtuple("Scenario", "id kind payload expected_order expected_cyclic meta")
 
 
-@dataclass(frozen=True)
-class BiTriPayload:
-    params: torus.BiTriEllipticParams
-
-
-@dataclass(frozen=True)
-class ReduciblePayload:
-    endo_q: IntMatrix
-    endo_pi: IntMatrix
-
-
-@dataclass(frozen=True)
-class CoverPayload:
-    """A bi-elliptic quotient verified through an explicit intermediate cover."""
-
-    rank: int
-    denominator: int
-    group_gens: tuple
-    group_order: int
-    deck: torus.AffineTorusMap
-    deck_order: int
-    cover_lattice: IntMatrix
-    classes: tuple  # (name, IntMatrix of generator rows in scaled coords)
-    crossing: IntMatrix
-    crossing_count: int
-    nodes_downstairs: int
-
-
-@dataclass(frozen=True)
-class IsogenyPayload:
-    matrix: IntMatrix
-
-
-@dataclass(frozen=True)
-class ConstantPayload:
-    pass
-
-
-@dataclass(frozen=True)
-class Scenario:
-    id: str
-    kind: str
-    payload: object
-    expected_order: int
-    expected_cyclic: bool
-    meta: dict = field(repr=False)
-
-
-@dataclass(frozen=True)
 class Report:
-    scenario: str
-    order: "int | None"
-    cyclic: "bool | None"
-    abelianization: object
-    presentation: str
-    expected_order: int
-    expected_cyclic: bool
-    verdict: str
-    elapsed_ms: float
-    checks: tuple = ()
-    error: "str | None" = None
-    # the scenario's meta section, for tables; not part of the report itself
-    meta: dict = field(default_factory=dict, repr=False, compare=False)
+    """One scenario's result.  ``meta`` is the scenario's meta section, kept
+    for tables; it is not part of the report, so == and repr leave it out."""
+
+    __slots__ = ("scenario", "order", "cyclic", "abelianization", "presentation", "expected_order",
+                 "expected_cyclic", "verdict", "elapsed_ms", "checks", "error", "meta")
+    _FIELDS = __slots__[:-1]
+
+    def __init__(self, scenario, order, cyclic, abelianization, presentation, expected_order,
+                 expected_cyclic, verdict, elapsed_ms, checks=(), error=None, meta=None):
+        self.scenario = scenario
+        self.order = order
+        self.cyclic = cyclic
+        self.abelianization = abelianization
+        self.presentation = presentation
+        self.expected_order = expected_order
+        self.expected_cyclic = expected_cyclic
+        self.verdict = verdict
+        self.elapsed_ms = elapsed_ms
+        self.checks = checks
+        self.error = error
+        self.meta = {} if meta is None else meta
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is Report else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Report({', '.join(f'{n}={getattr(self, n)!r}' for n in self._FIELDS)})"
 
     @property
     def passed(self):
@@ -171,6 +148,15 @@ class _ComplexBuilder:
         self.basepoint = None
 
 
+def _int_token(tok, signed=True):
+    """The int that ``tok`` spells in ASCII digits, after a '-' if ``signed``;
+    ValueError otherwise.  int() alone also takes every Unicode digit, '_' and '+'."""
+    digits = tok[1:] if signed and tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: '{tok}'")
+    return int(tok)
+
+
 def _signed_token(tok):
     if tok.startswith("-"):
         return tok[1:], -1
@@ -194,13 +180,16 @@ def load_scenario(path) -> Scenario:
     def fail(lineno, msg):
         raise ParseError(f"{path}:{lineno}: {msg}")
 
+    def integers(lineno, tokens, msg, signed=True):
+        try:
+            return [_int_token(t, signed) for t in tokens]
+        except ValueError:
+            fail(lineno, msg)
+
     for lineno, toks in lines:
         if pending is not None:
             name, cols, left, rows = pending
-            try:
-                row = [int(t) for t in toks]
-            except ValueError:
-                fail(lineno, f"expected an integer row of matrix {name}")
+            row = integers(lineno, toks, f"expected an integer row of matrix {name}")
             if len(row) != cols:
                 fail(lineno, f"matrix {name} row needs {cols} entries")
             rows.append(row)
@@ -235,13 +224,13 @@ def load_scenario(path) -> Scenario:
                 fail(lineno, "meta lines are 'key value...'")
             meta[key] = " ".join(toks[1:])
         elif section == "expected":
-            # isdecimal, not isdigit: int() rejects digits such as '²'
-            if key == "order" and len(toks) == 2 and toks[1].isdecimal():
-                expected["order"] = int(toks[1])
+            usage = "expected lines are 'order <n>' or 'cyclic yes|no'"
+            if key == "order" and len(toks) == 2:
+                expected["order"] = integers(lineno, toks[1:], usage, signed=False)[0]
             elif key == "cyclic" and len(toks) == 2 and toks[1] in ("yes", "no"):
                 expected["cyclic"] = toks[1] == "yes"
             else:
-                fail(lineno, "expected lines are 'order <n>' or 'cyclic yes|no'")
+                fail(lineno, usage)
         elif section == "complex":
             b = current_complex
             if key == "vertex" and len(toks) == 2:
@@ -263,9 +252,10 @@ def load_scenario(path) -> Scenario:
                 fail(lineno, f"bad map line '{' '.join(toks)}'")
         elif section == "torus":
             if key == "matrix":
-                if len(toks) != 4 or not toks[2].isdecimal() or not toks[3].isdecimal():
-                    fail(lineno, "matrix lines are 'matrix NAME ROWS COLS'")
-                nrows, ncols = int(toks[2]), int(toks[3])
+                usage = "matrix lines are 'matrix NAME ROWS COLS'"
+                if len(toks) != 4:
+                    fail(lineno, usage)
+                nrows, ncols = integers(lineno, toks[2:], usage, signed=False)
                 if nrows == 0:
                     tdata["matrices"][toks[1]] = IntMatrix.zeros(0, ncols)
                 else:
@@ -273,10 +263,9 @@ def load_scenario(path) -> Scenario:
             elif key == "vector":
                 if len(toks) < 2:
                     fail(lineno, "vector lines are 'vector NAME ints...'")
-                try:
-                    tdata["vectors"][toks[1]] = [int(t) for t in toks[2:]]
-                except ValueError:
-                    fail(lineno, "vector entries must be integers")
+                tdata["vectors"][toks[1]] = integers(
+                    lineno, toks[2:], "vector entries must be integers"
+                )
             elif key in TORUS_SCALARS:
                 tdata["scalars"][key] = " ".join(toks[1:])
             else:
@@ -352,12 +341,12 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
     if mode == "bitri":
         try:
             params = torus.BiTriEllipticParams(
-                d=int(scalars["degphi"]),
-                d_prime=int(scalars["degphiprime"]),
+                d=_int_token(scalars["degphi"]),
+                d_prime=_int_token(scalars["degphiprime"]),
                 case=scalars["case"],
                 glue={"G1": 0, "G2": 1}.get(scalars.get("glue")),
             )
-            twist = int(meta["twist"]) if "twist" in meta else None
+            twist = _int_token(meta["twist"]) if "twist" in meta else None
         except (KeyError, ValueError, torus.InvalidParams) as exc:
             raise ValidationError(f"{path}: bad bi-tri-elliptic parameters: {exc}") from exc
         if twist is not None and torus.twisting_number(params) != twist:
@@ -370,8 +359,8 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
             raise ValidationError(f"{path}: reducible scenarios need endo_q and endo_pi") from exc
     if mode == "cover":
         try:
-            rank = int(scalars["rank"])
-            den = int(scalars["denominator"])
+            rank = _int_token(scalars["rank"])
+            den = _int_token(scalars["denominator"])
             gens = []
             i = 1
             while f"gen{i}.linear" in matrices:
@@ -398,14 +387,14 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
                 rank=rank,
                 denominator=den,
                 group_gens=tuple(gens),
-                group_order=int(scalars["group_order"]),
+                group_order=_int_token(scalars["group_order"]),
                 deck=deck,
-                deck_order=int(scalars["deck_order"]),
+                deck_order=_int_token(scalars["deck_order"]),
                 cover_lattice=matrices["cover_lattice"],
                 classes=classes,
                 crossing=matrices["crossing"],
-                crossing_count=int(scalars["crossing_count"]),
-                nodes_downstairs=int(scalars["nodes_downstairs"]),
+                crossing_count=_int_token(scalars["crossing_count"]),
+                nodes_downstairs=_int_token(scalars["nodes_downstairs"]),
             )
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"{path}: incomplete cover data: {exc}") from exc
@@ -418,9 +407,9 @@ def _check_node_counts(path, meta, dbar):
     if not all(k in meta for k in ("nodes", "ramification", "cusps")):
         return
     try:
-        nodes = int(meta["nodes"])
-        ram = int(meta["ramification"])
-        cusps = int(meta["cusps"])
+        nodes = _int_token(meta["nodes"])
+        ram = _int_token(meta["ramification"])
+        cusps = _int_token(meta["cusps"])
     except ValueError as exc:
         raise ValidationError(f"{path}: node/cusp counts must be integers") from exc
     if ram % 2 or nodes != ram // 2 + 2 * cusps + 2:

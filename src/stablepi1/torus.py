@@ -9,13 +9,15 @@ homology bookkeeping of the bi-tri-elliptic constructions.
 Maps compose on integers only: the translation is a vector of integer
 numerators over one denominator, and M t' + t is formed on the numerators
 over the product of the two denominators, then reduced.  Coordinates with
-respect to a lattice basis come from the integer solves in ``intlin``.
+respect to a lattice basis come from the fraction-free Gauss-Jordan
+elimination in ``intlin``, over one common denominator: no ``Fraction`` is
+built.  ``AffineTorusMap`` hashes by value, as group closures are sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from . import fpgroup
 from .intlin import (
@@ -23,12 +25,12 @@ from .intlin import (
     IntMatrix,
     RatVector,
     SingularMatrix,
+    _gauss_jordan,
     _snf_core,
     cokernel_invariants,
     hermite_normal_form,
     membership,
     saturation,
-    solve_in_rowspace,
     solve_integral,
 )
 
@@ -43,19 +45,29 @@ class InvalidParams(ValueError):
     """Bi-tri-elliptic parameters violate their defining constraints."""
 
 
-@dataclass(frozen=True)
 class AffineTorusMap:
     """x -> linear*x + translation on R^n / Z^n; translation kept in [0,1)."""
 
-    linear: IntMatrix
-    translation: RatVector
+    __slots__ = ("linear", "translation")
 
-    def __post_init__(self):
-        if not self.linear.is_square:
+    def __init__(self, linear: IntMatrix, translation: RatVector):
+        if not linear.is_square:
             raise ValueError("linear part must be square")
-        if len(self.translation) != self.linear.rows:
+        if len(translation) != linear.rows:
             raise ValueError("translation length must match the rank")
-        object.__setattr__(self, "translation", self.translation.mod1())
+        self.linear = linear
+        self.translation = translation.mod1()
+
+    def __eq__(self, other):
+        if other.__class__ is not AffineTorusMap:
+            return NotImplemented
+        return self.translation == other.translation and self.linear == other.linear
+
+    def __hash__(self):
+        return hash((self.linear, self.translation))
+
+    def __repr__(self):
+        return f"AffineTorusMap(linear={self.linear!r}, translation={self.translation!r})"
 
     @property
     def rank(self):
@@ -63,7 +75,7 @@ class AffineTorusMap:
 
     @property
     def is_identity(self):
-        return self.linear == IntMatrix.identity(self.rank) and self.translation.is_zero
+        return self.translation.is_zero and self.linear == IntMatrix.identity(self.rank)
 
 
 def affine_identity(rank):
@@ -125,11 +137,10 @@ def has_fixed_point(f: AffineTorusMap) -> bool:
     """A point x with f(x) = x on the torus exists iff -t lies in
     (M - I) Q^n + Z^n."""
     n = f.rank
-    ident = IntMatrix.identity(n)
-    m_minus_i = IntMatrix.from_rows(
-        [[f.linear.at(i, j) - (1 if i == j else 0) for j in range(n)] for i in range(n)]
+    m_minus_i = IntMatrix._trusted(
+        n, n, tuple(f.linear.at(i, j) - (1 if i == j else 0) for i in range(n) for j in range(n))
     )
-    return membership(f.translation.negated(), m_minus_i, ident)
+    return membership(f.translation.negated(), m_minus_i, IntMatrix.identity(n))
 
 
 def is_free_action(gens, cap=DEFAULT_GROUP_CAP) -> bool:
@@ -172,36 +183,36 @@ def intersection_number(c1: IntMatrix, c2: IntMatrix) -> int:
     """
     if c1.cols != 4 or c2.cols != 4:
         raise ValueError("intersection pairing is implemented for rank-4 ambients")
-    stacked = IntMatrix.from_rows(c1.to_rows() + c2.to_rows())
+    stacked = IntMatrix._trusted(c1.rows + c2.rows, 4, c1.entries + c2.entries)
     return abs(stacked.det())
 
 
 # -- bi-tri-elliptic configurations --------------------------------------
 
 
-@dataclass(frozen=True)
 class BiTriEllipticParams:
     """Degrees of the two isogenies from the auxiliary elliptic curve, the
     parity case of the construction, and (even case) which glue subgroup."""
 
-    d: int
-    d_prime: int
-    case: str
-    glue: "int | None" = None
+    __slots__ = ("d", "d_prime", "case", "glue")
 
-    def __post_init__(self):
-        if self.case not in ("odd", "even"):
+    def __init__(self, d: int, d_prime: int, case: str, glue: "int | None" = None):
+        if case not in ("odd", "even"):
             raise InvalidParams("case must be 'odd' or 'even'")
-        if self.case == "odd":
-            if self.d + self.d_prime != 6 or self.d % 2 == 0 or self.d < 1:
+        if case == "odd":
+            if d + d_prime != 6 or d % 2 == 0 or d < 1:
                 raise InvalidParams("odd case needs d + d' = 6 with d odd")
-            if self.glue is not None:
+            if glue is not None:
                 raise InvalidParams("odd case fixes the glue subgroup (2-torsion)")
         else:
-            if self.d + self.d_prime != 3 or self.d < 1 or self.d_prime < 1:
+            if d + d_prime != 3 or d < 1 or d_prime < 1:
                 raise InvalidParams("even case needs d + d' = 3")
-            if self.glue not in (None, 0, 1):
+            if glue not in (None, 0, 1):
                 raise InvalidParams("glue must be 0, 1 or None")
+        self.d = d
+        self.d_prime = d_prime
+        self.case = case
+        self.glue = glue
 
 
 def twisting_number(p: BiTriEllipticParams) -> int:
@@ -350,7 +361,7 @@ def eplus_presentation(p: BiTriEllipticParams) -> fpgroup.Presentation:
     else:
         h1a, fbar, pi_star = _even_lattice_data(p)
 
-    basis = hermite_normal_form(IntMatrix.from_rows(h1a))
+    basis = hermite_normal_form(IntMatrix._of_rows(h1a, 4))
     if basis.rows != 4:
         raise InvalidParams("glued-torus homology should have rank 4")
 
@@ -360,7 +371,7 @@ def eplus_presentation(p: BiTriEllipticParams) -> fpgroup.Presentation:
             raise InvalidParams("vector outside the glued-torus lattice")
         return coords
 
-    fbar_coords = IntMatrix.from_rows([in_basis(v) for v in fbar])
+    fbar_coords = IntMatrix._of_rows([in_basis(v) for v in fbar], 4)
     fbar_sat = saturation(fbar_coords)
     d, _u, v, _rank = _snf_core(fbar_sat.to_rows(), v=True)
     if tuple(d[i][i] for i in range(min(fbar_sat.rows, fbar_sat.cols))) != (1, 1):
@@ -437,10 +448,12 @@ def conjugate_into_lattice(linear: IntMatrix, translation: RatVector, lattice_ro
         if coords is None:
             raise ValueError("map does not preserve the lattice")
         new_cols.append(coords)
-    new_linear = IntMatrix.from_rows(
-        [[new_cols[j][i] for j in range(n)] for i in range(n)]
-    )
-    t_coords = solve_in_rowspace(basis, translation.numerators, translation.denominator)
-    if t_coords is None:
-        raise ValueError("translation outside the rational span of the lattice")
-    return AffineTorusMap(new_linear, RatVector.from_fractions(t_coords))
+    new_linear = IntMatrix._of_rows([[new_cols[j][i] for j in range(n)] for i in range(n)], n)
+    if len(translation) != n:
+        raise ValueError("translation length must match the rank")
+    # basis is square and nonsingular: every column is a pivot, aug[i] holds
+    # column i, and coordinate i is aug[i][-1] / (aug[i][i] * denominator)
+    aug, _pivots = _gauss_jordan(basis, translation.numerators)
+    common = lcm(*(aug[i][i] for i in range(n)))
+    nums = [aug[i][-1] * (common // aug[i][i]) for i in range(n)]
+    return AffineTorusMap(new_linear, RatVector(nums, common * translation.denominator))

@@ -15,8 +15,6 @@ pushout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .fpgroup import GroupHom, Presentation, amalgamated_product, reduce_word
 
 
@@ -28,36 +26,31 @@ class IncompatibleMap(ValueError):
     """Edge images do not run between the images of their endpoints."""
 
 
-@dataclass(frozen=True, eq=False)
 class GluingComplex:
     """1-skeleton with 2-cells: edges are (label, source, target), cells are
-    closed paths as tuples of (edge label, +1/-1)."""
+    closed paths as tuples of (edge label, +1/-1).  Compared by identity."""
 
-    vertices: tuple
-    edges: tuple
-    two_cells: tuple
-    basepoint: str
-    # BFS spanning tree: vertex -> None (basepoint) or the tree edge into it
-    # as (label, +1/-1, tail vertex)
-    tree: dict = field(init=False, repr=False)
+    # tree is the BFS spanning tree, computed once: vertex -> None (basepoint)
+    # or the tree edge into it as (label, +1/-1, tail vertex)
+    __slots__ = ("vertices", "edges", "two_cells", "basepoint", "tree")
 
-    def __post_init__(self):
-        vertices = tuple(str(v) for v in self.vertices)
+    def __init__(self, vertices, edges, two_cells, basepoint: str):
+        vertices = tuple(str(v) for v in vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("vertex labels must be distinct")
         vset = set(vertices)
-        edges = tuple((str(l), str(s), str(t)) for (l, s, t) in self.edges)
+        edges = tuple((str(l), str(s), str(t)) for (l, s, t) in edges)
         labels = [l for (l, _s, _t) in edges]
         if len(set(labels)) != len(labels):
             raise ValueError("edge labels must be distinct")
         for label, s, t in edges:
             if s not in vset or t not in vset:
                 raise ValueError(f"edge {label} has a dangling endpoint")
-        if self.basepoint not in vset:
+        if basepoint not in vset:
             raise ValueError("basepoint is not a vertex")
         by_label = {l: (s, t) for (l, s, t) in edges}
         cells = []
-        for cell in self.two_cells:
+        for cell in two_cells:
             cell = tuple((str(l), int(sg)) for (l, sg) in cell)
             if not cell:
                 raise ValueError("empty 2-cell boundary")
@@ -77,13 +70,13 @@ class GluingComplex:
             if at != start:
                 raise ValueError("2-cell boundary is not a closed path")
             cells.append(cell)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "two_cells", tuple(cells))
-        tree = self._spanning_tree()
-        if len(tree) != len(vertices):
+        self.vertices = vertices
+        self.edges = edges
+        self.two_cells = tuple(cells)
+        self.basepoint = basepoint
+        self.tree = self._spanning_tree()
+        if len(self.tree) != len(vertices):
             raise DisconnectedComplex("1-skeleton is not connected")
-        object.__setattr__(self, "tree", tree)
 
     def _spanning_tree(self):
         """BFS from the basepoint, edges scanned in declared order."""
@@ -100,12 +93,14 @@ class GluingComplex:
         return parent
 
 
-@dataclass(frozen=True, eq=False)
 class GluingMap:
     """Cellular map: vertex -> vertex and edge -> (edge, +1/-1)."""
 
-    vertex_map: dict
-    edge_map: dict
+    __slots__ = ("vertex_map", "edge_map")
+
+    def __init__(self, vertex_map: dict, edge_map: dict):
+        self.vertex_map = vertex_map
+        self.edge_map = edge_map
 
 
 def check_map(m: GluingMap, src: GluingComplex, tgt: GluingComplex):
@@ -127,16 +122,18 @@ def check_map(m: GluingMap, src: GluingComplex, tgt: GluingComplex):
             raise IncompatibleMap(f"edge {label} image disagrees with its endpoints")
 
 
-@dataclass(frozen=True, eq=False)
 class Pi1Data:
     """Presentation plus the combinatorics needed to push loops around:
     one closed edge path per generator, and the non-tree edge -> generator
     index map used to rewrite arbitrary closed paths."""
 
-    presentation: Presentation
-    loop_basis: tuple
-    edge_generator: dict = field(repr=False)
-    complex: GluingComplex = field(repr=False)
+    __slots__ = ("presentation", "loop_basis", "edge_generator", "complex")
+
+    def __init__(self, presentation, loop_basis, edge_generator, complex):
+        self.presentation = presentation
+        self.loop_basis = loop_basis
+        self.edge_generator = edge_generator
+        self.complex = complex
 
     @property
     def graph_rank(self):
@@ -170,7 +167,7 @@ def pi1_presentation(c: GluingComplex) -> Pi1Data:
         loops.append(tuple(path_from_base(s) + [(label, 1)] + back))
     free = Pi1Data(Presentation(names, ()), tuple(loops), edge_generator, c)
     relators = tuple(path_word(free, cell) for cell in c.two_cells)
-    return replace(free, presentation=Presentation(names, relators))
+    return Pi1Data(Presentation(names, relators), free.loop_basis, edge_generator, c)
 
 
 def path_word(pi1: Pi1Data, path):

@@ -3,7 +3,9 @@
 ``torus.conjugate_into_lattice``, ``IntMatrix.mul``,
 ``intlin.solve_in_rowspace`` and ``intlin.solve_integral`` replaced, kept
 verbatim (only the function names differ, ``mul`` takes its matrix as an
-argument, and the conjugation calls the reference solve).
+argument, the conjugation calls the reference solve, and ``fractions`` is
+the former ``RatVector.fractions`` as a function).  The package itself no
+longer builds any ``Fraction``.
 """
 
 from fractions import Fraction
@@ -12,13 +14,17 @@ from stablepi1.intlin import IntMatrix, RatVector, hermite_normal_form
 from stablepi1.torus import AffineTorusMap
 
 
+def fractions(vec: RatVector):
+    return tuple(Fraction(n, vec.denominator) for n in vec.numerators)
+
+
 def reference_compose(f: AffineTorusMap, g: AffineTorusMap) -> AffineTorusMap:
     """f after g: (M, t) o (M', t') = (M M', M t' + t)."""
     if f.rank != g.rank:
         raise ValueError("rank mismatch")
     linear = f.linear.mul(g.linear)
-    tg = g.translation.fractions()
-    tf = f.translation.fractions()
+    tg = fractions(g.translation)
+    tf = fractions(f.translation)
     moved = [
         sum(Fraction(f.linear.at(i, k)) * tg[k] for k in range(f.rank)) + tf[i]
         for i in range(f.rank)

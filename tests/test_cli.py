@@ -1,22 +1,44 @@
 """Command-line behaviour: formats, exit codes, stdin handling."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from stablepi1.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     if stdin is not None:
         import io
-        import sys
 
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_adds_no_slow_stdlib_modules():
+    """``import stablepi1.cli`` loads none of dataclasses (which imports
+    inspect) and fractions (which imports decimal) beyond what a bare
+    interpreter has loaded: those imports once dominated start-up."""
+    script = (
+        "import sys; bare = set(sys.modules); import stablepi1.cli; "
+        "print(*sorted(set(sys.modules) - bare))"
+    )
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    extra = set(proc.stdout.split())
+    assert "stablepi1.cli" in extra
+    assert extra & {"dataclasses", "fractions", "decimal", "inspect"} == set()
 
 
 def test_run_json(capsys):
@@ -120,6 +142,14 @@ def test_snf_bad_input(capsys, monkeypatch):
     code, _out, err = run_cli(
         capsys, ["snf"], stdin="1 x\n", monkeypatch=monkeypatch
     )
+    assert code == 2
+    assert "integer" in err
+
+
+@pytest.mark.parametrize("token", ["\u0662", "1_0", "+2", "\uff12"])
+def test_snf_integers_are_ascii(capsys, monkeypatch, token):
+    # int() would read each of these as an integer
+    code, _out, err = run_cli(capsys, ["snf"], stdin=f"1 {token}\n", monkeypatch=monkeypatch)
     assert code == 2
     assert "integer" in err
 

@@ -18,7 +18,6 @@ ALLOWED = {
     "torus.is_free_action": "acceptance test 3",
     "torus.glue_subgroup_pair": "acceptance test 4",
     "vankampen.glue_fundamental_group": "the reference route of acceptance test 5d",
-    "intlin.RatVector.fractions": "tests/reference_torus.py",
 }
 
 

@@ -10,13 +10,13 @@ from stablepi1.intlin import (
     AbelianInvariants,
     IntMatrix,
     RatVector,
+    _gauss_jordan,
     cokernel_invariants,
     hermite_normal_form,
     lattice_contains,
     membership,
     saturation,
     smith_normal_form,
-    solve_in_rowspace,
     solve_integral,
 )
 
@@ -238,7 +238,9 @@ class TestHermiteAndSolve:
     def test_solve_inconsistent(self):
         basis = mat([[2, 0], [0, 2]])
         assert solve_integral(basis, [1, 0]) is None
-        assert solve_in_rowspace(mat([[1, 0]]), [0, 1]) is None
+        # no rational solution either: the shared elimination reports it
+        assert _gauss_jordan(mat([[1, 0]]), [0, 1]) is None
+        assert solve_integral(mat([[1, 0]]), [0, 1]) is None
 
 
 @settings(max_examples=100)
@@ -268,3 +270,60 @@ def test_ratvector_normalisation():
     assert RatVector((1, 3), 2).mod1() == RatVector((1, 1), 2)
     with pytest.raises(ValueError):
         RatVector((1,), 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: RatVector((1.5, 2), 2),
+        lambda: RatVector((True,), 2),
+        lambda: RatVector(("1", 2), 2),
+        lambda: RatVector((1, 2), 2.0),
+        lambda: RatVector((1, 2), True),
+        lambda: RatVector.integers([1.0, 2]),
+        lambda: AbelianInvariants(0, (2.9, 4.0)),
+        lambda: AbelianInvariants(0, ("2",)),
+        lambda: AbelianInvariants(0, (True,)),
+        lambda: AbelianInvariants(1.0, ()),
+        lambda: IntMatrix(1, 1, (1.0,)),
+        lambda: IntMatrix.from_rows([[True]]),
+    ],
+    ids=[
+        "ratvector-float",
+        "ratvector-bool",
+        "ratvector-str",
+        "ratvector-float-denominator",
+        "ratvector-bool-denominator",
+        "ratvector-integers-float",
+        "invariants-float",
+        "invariants-str",
+        "invariants-bool",
+        "invariants-float-rank",
+        "matrix-float",
+        "matrix-bool",
+    ],
+)
+def test_value_types_take_plain_ints_only(make):
+    # int() would truncate 1.5 and 2.9, and take True and "2" as numbers
+    with pytest.raises(ValueError, match="plain ints"):
+        make()
+
+
+def test_value_types_compare_and_hash_by_value():
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert a == IntMatrix(2, 2, [1, 2, 3, 4]) and hash(a) == hash(IntMatrix(2, 2, (1, 2, 3, 4)))
+    assert a != IntMatrix(1, 4, (1, 2, 3, 4)) and a != (2, 2, (1, 2, 3, 4))
+    assert IntMatrix.identity(3) is IntMatrix.identity(3)
+    assert IntMatrix.identity(3) == IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert repr(IntMatrix.zeros(1, 2)) == "IntMatrix(rows=1, cols=2, entries=(0, 0))"
+    v = RatVector((2, 4), 6)
+    assert v == RatVector((1, 2), 3) and len({v, RatVector((-1, -2), -3)}) == 1
+    assert repr(v) == "RatVector(numerators=(1, 2), denominator=3)"
+    inv = AbelianInvariants(0, [2, 4])
+    assert inv == AbelianInvariants(0, (2, 4)) and inv.torsion == (2, 4)
+    assert len({inv, AbelianInvariants(0, (2, 4)), AbelianInvariants(1, (2, 4))}) == 2
+    assert repr(inv) == "AbelianInvariants(free_rank=0, torsion=(2, 4))"
+    with pytest.raises(ValueError):
+        IntMatrix.identity(-1)
+    with pytest.raises(ValueError):
+        IntMatrix.zeros(-1, 2)

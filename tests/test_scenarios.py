@@ -323,8 +323,31 @@ class TestParserTotality:
             ("P1.scn", "order 4", "order ²".encode(), ParseError),
             ("R3.scn", "matrix isogeny 2 2", "matrix isogeny ² 2".encode(), ParseError),
             ("E5.scn", "twist 5", b"twist x", ValidationError),
+            # int() reads these as 3, 10, 4, 2, 4 and 4: integers are ASCII
+            # digits after an optional '-', nothing else
+            ("R3.scn", "order 3", "order \u0663".encode(), ParseError),
+            ("R3.scn", "-1 2", "-\u0661 2".encode(), ParseError),
+            ("R3.scn", "-1 2", b"-1 1_0", ParseError),
+            ("P1.scn", "order 4", b"order 0_4", ParseError),
+            ("R3.scn", "-1 2", b"-1 +2", ParseError),
+            ("B1.scn", "translation 1 0 1 0", "translation 1 0 1 \uff10".encode(), ParseError),
+            ("B1.scn", "deck_order 4", "deck_order \u0664".encode(), ValidationError),
+            ("E5.scn", "twist 5", "twist \u0665".encode(), ValidationError),
         ],
-        ids=["non-UTF-8", "order-superscript", "matrix-superscript", "twist-x"],
+        ids=[
+            "non-UTF-8",
+            "order-superscript",
+            "matrix-superscript",
+            "twist-x",
+            "order-arabic-indic",
+            "matrix-row-arabic-indic",
+            "matrix-row-underscore",
+            "order-underscore",
+            "matrix-row-plus",
+            "vector-fullwidth",
+            "scalar-arabic-indic",
+            "twist-arabic-indic",
+        ],
     )
     def test_escape_is_a_clean_error(self, tmp_path, name, old, new, error):
         data = (bundled_catalogue_dir() / name).read_bytes()

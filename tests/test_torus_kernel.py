@@ -1,10 +1,12 @@
 """Differential tests of the integer-only torus layer.
 
-``torus.compose``, ``IntMatrix.mul``, ``intlin.solve_in_rowspace`` and
-``intlin.solve_integral`` work on integers only.  Against the ``Fraction``
-versions they replaced (``tests/reference_torus.py``) they must return equal
-results on seeded random inputs, and the cover scenarios B1 and B2 must get
-the same group closure and the same conjugated deck transformation.
+``torus.compose``, ``IntMatrix.mul``, ``intlin.solve_integral`` and
+``torus.conjugate_into_lattice`` (whose translation solve replaced
+``intlin.solve_in_rowspace``) work on integers only.  Against the
+``Fraction`` versions they replaced (``tests/reference_torus.py``) they must
+return equal results on seeded random inputs, and the cover scenarios B1 and
+B2 must get the same group closure and the same conjugated deck
+transformation.
 """
 
 import random
@@ -24,7 +26,6 @@ from stablepi1.intlin import (
     IntMatrix,
     RatVector,
     hermite_normal_form,
-    solve_in_rowspace,
     solve_integral,
 )
 from stablepi1.scenarios import bundled_catalogue_dir, load_scenario
@@ -118,13 +119,6 @@ def test_solve_matches_reference():
         basis = IntMatrix.from_rows(rows, cols=n)
         for target in targets(rng, rows, n):
             want = reference_solve_in_rowspace(basis, target)
-            got = solve_in_rowspace(basis, target)
-            assert got == want, (rows, target)
-            if want is not None:
-                assert all(type(x) is Fraction for x in got)
-            # the same target as integer numerators over one denominator
-            vec = RatVector.from_fractions(target)
-            assert solve_in_rowspace(basis, list(vec.numerators), vec.denominator) == want
             want_int = reference_solve_integral(basis, target)
             assert solve_integral(basis, target) == want_int, (rows, target)
             if want is None:
@@ -139,16 +133,59 @@ def test_solve_matches_reference():
     assert all(kinds.values()), kinds
 
 
+def lattice_maps(rng, rows, n):
+    """Linear parts to conjugate into the lattice of ``rows``: I, -I and D*A
+    for a random A, where D is the lattice's determinant (a full-rank lattice
+    contains D*Z^n, so all three preserve it), and A itself (which may not)."""
+    a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    h = hermite_normal_form(IntMatrix.from_rows(rows, cols=n))
+    d = h.det() if h.rows == n else 1
+    return [
+        IntMatrix.identity(n),
+        IntMatrix.from_rows([[-x for x in row] for row in IntMatrix.identity(n).to_rows()]),
+        IntMatrix.from_rows([[d * x for x in row] for row in a]),
+        IntMatrix.from_rows(a),
+    ]
+
+
+def test_conjugate_into_lattice_matches_reference():
+    """The translation solve on the same seeded corpus as the solves above:
+    every target becomes a translation over one denominator."""
+    rng = random.Random(7)
+    kinds = {"conjugated": 0, "fractional translation": 0, "not preserved": 0, "not full rank": 0}
+    for rows, n in bases(rng):
+        lattice = IntMatrix.from_rows(rows, cols=n)
+        maps = lattice_maps(rng, rows, n)
+        for k, target in enumerate(targets(rng, rows, n)):
+            args = (maps[k % len(maps)], RatVector.from_fractions(target), lattice)
+            try:
+                want = reference_conjugate_into_lattice(*args)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=str(exc)):
+                    conjugate_into_lattice(*args)
+                kinds["not full rank" if "full rank" in str(exc) else "not preserved"] += 1
+                continue
+            assert conjugate_into_lattice(*args) == want, (rows, target, args[0])
+            kinds["conjugated"] += 1
+            kinds["fractional translation"] += want.translation.denominator > 1
+    assert all(kinds.values()), kinds
+
+
 def test_solve_edge_cases():
     two = IntMatrix.from_rows([[2, 0], [0, 2]])
+    ident = IntMatrix.identity(2)
     assert solve_integral(two, [1, 0]) is None
-    assert solve_in_rowspace(two, [1, 0]) == [Fraction(1, 2), 0]
-    assert solve_in_rowspace(two, [1, 0], 3) == [Fraction(1, 6), 0]
+    # (1, 0) and (1/3, 0) in the basis 2e1, 2e2
+    half = conjugate_into_lattice(ident, RatVector((1, 0), 1), two)
+    assert half == AffineTorusMap(ident, RatVector((1, 0), 2))
+    sixth = conjugate_into_lattice(ident, RatVector((1, 0), 3), two)
+    assert sixth == AffineTorusMap(ident, RatVector((1, 0), 6))
     assert solve_integral(IntMatrix.zeros(0, 3), [0, 0, 0]) == []
-    assert solve_in_rowspace(IntMatrix.zeros(0, 3), [0, 1, 0]) is None
+    with pytest.raises(ValueError, match="full rank"):
+        conjugate_into_lattice(IntMatrix.identity(3), RatVector.zero(3), IntMatrix.zeros(0, 3))
     assert solve_integral(IntMatrix.zeros(2, 0), []) == [0, 0]
     with pytest.raises(ValueError):
-        solve_in_rowspace(two, [1, 2, 3])
+        conjugate_into_lattice(ident, RatVector((1, 2, 3), 1), two)
     with pytest.raises(ValueError):
         solve_integral(two, [1])
 
