@@ -166,7 +166,6 @@ def build_parser():
     common.add_argument("--format", choices=("json", "md"), default="md")
     common.add_argument(
         "--max-cosets",
-        type=int,
         default=None,
         help=f"coset limit (default: $STABLEPI1_MAX_COSETS, else {DEFAULT_MAX_COSETS})",
     )
@@ -193,20 +192,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.max_cosets is None:
-        env_limit = os.environ.get("STABLEPI1_MAX_COSETS")
-        try:
-            args.max_cosets = int(env_limit) if env_limit else DEFAULT_MAX_COSETS
-        except ValueError:
-            args.max_cosets = 0
-        if args.max_cosets < 1:
-            print(
-                f"error: STABLEPI1_MAX_COSETS must be a positive integer, got {env_limit!r}",
-                file=sys.stderr,
-            )
-            return 2
-    elif args.max_cosets < 1:
-        print("error: --max-cosets must be positive", file=sys.stderr)
+    source, limit = "--max-cosets", args.max_cosets
+    if limit is None:
+        source = "STABLEPI1_MAX_COSETS"
+        limit = os.environ.get(source) or str(DEFAULT_MAX_COSETS)
+    try:
+        args.max_cosets = _int_token(limit, signed=False)
+    except ValueError:
+        args.max_cosets = 0
+    if args.max_cosets < 1:
+        print(f"error: {source} must be a positive integer, got {limit!r}", file=sys.stderr)
         return 2
     if args.command != "snf":
         directory = args.catalogue_dir

@@ -14,6 +14,10 @@ and per inverse, indexed by coset number; cosets are numbered from 1 and 0
 marks an undefined entry.  Coincidence processing leaves no live entry
 pointing at a dead coset, so everything outside it follows entries
 directly, without union-find.
+
+A scan defines the cosets of a gap in one pass (chain fill), and a relator
+x^m (m >= 3) keeps closure flags so that its scan is skipped where it is
+known to close: one scan of <t | t^n> defines and flags all n cosets.
 """
 
 from __future__ import annotations
@@ -232,13 +236,20 @@ class _CosetTable:
     Cosets are numbered from 1 (the subgroup itself) and 0 means undefined.
     The table is stored by column: ``cols[c][k]`` is the image of coset k
     under column c, where column 2i is generator i and 2i + 1 its inverse.
-    Columns grow by doubling and are only ever changed in place, so the
+    Columns grow by half and are only ever changed in place, so the
     column lists bound to each relator at construction stay valid.
 
     Invariant between public calls: no live entry points at a dead coset.
     ``_coincidence`` restores it before it returns and a scan returns right
     after a coincidence, so scans and compaction follow entries
     directly; union-find (``p``) is consulted only inside ``_coincidence``.
+    Chain fill needs relators freely reduced, as ``Presentation`` keeps them.
+    ``flags``: a ``bytearray`` per relator x^m, m >= 3.  Invariant: a flag on
+    a live coset means that relator closes there.  Flags go on the live
+    cosets of a closed trace, which stays closed under coincidences (edges
+    map to edges between representatives); ``_compact`` remaps them like the
+    columns.  For (xy)^m and the like they would cost more than they save:
+    most of the cosets they mark die in coincidences.
     """
 
     def __init__(self, ngens, relators, max_cosets):
@@ -251,10 +262,13 @@ class _CosetTable:
             self.cols += (c, c_inv)
             self.pairs += ((c, c_inv), (c_inv, c))
             column[g], column[-g] = c, c_inv
-        # per relator: the column of each letter, and of its inverse
-        self.rels = [
-            ([column[x] for x in w], [column[-x] for x in w]) for w in relators
-        ]
+        # per relator: the column of each letter, of its inverse, and flags
+        self.rels, self.flags = [], []
+        for w in relators:
+            flags = None
+            if len(w) >= 3 and len(set(w)) == 1:  # x^m, m >= 3
+                self.flags.append(flags := bytearray(_INITIAL_ROWS))
+            self.rels.append(([column[x] for x in w], [column[-x] for x in w], flags))
         self.p = [0, 1]
         self.top = 1  # highest coset number in use
         self.nlive = 1
@@ -312,34 +326,42 @@ class _CosetTable:
                     queue.append(x)
         self.nlive -= len(queue)
 
+    def _grow(self, top):
+        """Grow every column and flag array by half until index ``top`` fits."""
+        size = len(self.cols[0])
+        while size <= top:
+            size += size // 2
+        for c in self.cols + self.flags:
+            c.extend(bytes(size - len(c)))
+
     def _define(self, alpha, col, inv):
         if self.nlive >= self.max:
-            raise CosetLimitExceeded(
-                f"enumeration needs more than {self.max} live cosets"
-            )
+            raise CosetLimitExceeded(f"enumeration needs more than {self.max} live cosets")
         new = self.top + 1
         if new == len(col):
-            for c in self.cols:
-                c.extend([0] * new)
+            self._grow(new)
         self.p.append(new)
-        self.top = new
-        self.nlive += 1
+        self.top, self.nlive = new, self.nlive + 1
         col[alpha] = new
         inv[new] = alpha
 
     def _scan(self, alpha, fwd, bwd, fill):
+        """Scan a relator at alpha, filling its gap if ``fill``; True when it
+        then closes there without a coincidence."""
+        f = alpha
+        for col in fwd:  # entry 0 of every column is 0: a gap sends f to 0
+            f = col[f]
+        if f:
+            if f == alpha:
+                return True
+            self._coincidence(f, alpha)
+            return False
         f = b = alpha
         i, j = 0, len(fwd) - 1
+        while fwd[i][f]:  # stops at the gap
+            f = fwd[i][f]
+            i += 1
         while True:
-            for i in range(i, j + 1):
-                x = fwd[i][f]
-                if not x:
-                    break
-                f = x
-            else:
-                if f != b:
-                    self._coincidence(f, b)
-                return
             for j in range(j, i - 1, -1):
                 x = bwd[j][b]
                 if not x:
@@ -347,14 +369,33 @@ class _CosetTable:
                 b = x
             else:
                 self._coincidence(f, b)
-                return
-            if j == i:
-                fwd[i][f] = b
-                bwd[i][b] = f
-                return
+                return False
+            if j == i or not fill or f != b or bwd[j] is not fwd[i]:
+                break
+            self._define(f, fwd[i], bwd[i])  # moves the backward end
+            f = fwd[i][f]
+            i += 1
+        if j > i:
             if not fill:
-                return
-            self._define(f, fwd[i], bwd[i])
+                return False
+            # Chain fill, same definitions and limit test as one at a time:
+            # each new coset stops the forward end, and no new entry reaches b.
+            n = min(j - i, self.max - self.nlive)
+            top = self.top
+            if top + n >= len(fwd[i]):
+                self._grow(top + n)
+            new = list(range(top + 1, top + n + 1))  # shared by p and columns
+            self.p += new
+            self.top, self.nlive = top + n, self.nlive + n
+            for k, c in enumerate(new, i):
+                fwd[k][f] = c
+                bwd[k][c] = f
+                f = c
+            if n < j - i:
+                self._define(f, fwd[i + n], bwd[i + n])  # raises: no room left
+        fwd[j][f] = b
+        bwd[j][b] = f
+        return True
 
     def _lookahead(self):
         """Deduction/coincidence pass over the whole table; returns cosets freed."""
@@ -363,10 +404,11 @@ class _CosetTable:
         alpha = 1
         while alpha <= self.top:
             if p[alpha] == alpha:
-                for fwd, bwd in self.rels:
-                    self._scan(alpha, fwd, bwd, False)
-                    if p[alpha] != alpha:
-                        break
+                for fwd, bwd, flags in self.rels:
+                    if flags is None or not flags[alpha]:
+                        self._scan(alpha, fwd, bwd, False)
+                        if p[alpha] != alpha:
+                            break
             alpha += 1
         return before - self.nlive
 
@@ -380,12 +422,14 @@ class _CosetTable:
         pad = [0] * (top - len(live))
         for col in self.cols:
             col[1 : top + 1] = [mapping[col[k]] for k in live] + pad
+        for flags in self.flags:
+            flags[1 : top + 1] = bytes([flags[k] for k in live] + pad)
         self.top = len(live)
         p[:] = range(self.top + 1)
         return bisect_left(live, alpha) + 1
 
     def enumerate(self):
-        p = self.p
+        p, scan = self.p, self._scan
         alpha = 1
         while alpha <= self.top:
             if p[alpha] != alpha:
@@ -394,8 +438,17 @@ class _CosetTable:
             if self.top > 2 * self.nlive + 64:
                 alpha = self._compact(alpha)
             try:
-                for fwd, bwd in self.rels:
-                    self._scan(alpha, fwd, bwd, True)
+                for fwd, bwd, flags in self.rels:
+                    if flags is None:
+                        scan(alpha, fwd, bwd, True)
+                    elif flags[alpha]:
+                        continue
+                    elif scan(alpha, fwd, bwd, True):
+                        # x^m closes at alpha, so at every alpha.x^k as well
+                        k = alpha
+                        for col in fwd:
+                            k = col[k]
+                            flags[k] = 1
                     if p[alpha] != alpha:
                         break
                 else:

@@ -490,7 +490,8 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
 
 def lattice_contains(lattice: IntMatrix, vector) -> bool:
     """Is ``vector`` in the integer row span of ``lattice``?"""
-    vec = [int(x) for x in vector]
+    vec = list(vector)
+    _check_ints(vec, "vector entries")
     if len(vec) != lattice.cols:
         raise ValueError("vector length does not match lattice ambient rank")
     h = hermite_normal_form(lattice)

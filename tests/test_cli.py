@@ -175,6 +175,22 @@ def test_max_cosets_env_must_be_positive_int(capsys, monkeypatch, value):
     assert "STABLEPI1_MAX_COSETS" in err and repr(value) in err
 
 
+@pytest.mark.parametrize("value", ["5_000", "+5000", "\u0665\u0660\u0660\u0660", "\uff15000"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_max_cosets_is_ascii(capsys, monkeypatch, source, value):
+    # int() would read each of these as 5000
+    argv = ["run", "P1"]
+    if source == "flag":
+        argv += ["--max-cosets", value]
+    else:
+        monkeypatch.setenv("STABLEPI1_MAX_COSETS", value)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    name = "--max-cosets" if source == "flag" else "STABLEPI1_MAX_COSETS"
+    assert name in err and repr(value) in err
+
+
 def test_max_cosets_flag_overrides_bad_env(capsys, monkeypatch):
     monkeypatch.setenv("STABLEPI1_MAX_COSETS", "abc")
     code, _out, _err = run_cli(capsys, ["run", "P1", "--max-cosets", "100"])

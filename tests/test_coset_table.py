@@ -6,7 +6,14 @@ import random
 import pytest
 
 from reference_coset_table import ReferenceCosetTable
-from stablepi1.fpgroup import CosetLimitExceeded, Presentation, _column, _CosetTable
+from stablepi1.fpgroup import (
+    CosetLimitExceeded,
+    Presentation,
+    _column,
+    _CosetTable,
+    cyclic_presentation,
+    todd_coxeter_order,
+)
 
 
 def standardise(rows):
@@ -170,3 +177,78 @@ def test_lookahead_under_tight_limit_matches_reference(monkeypatch, k, limit, cl
     rels = Presentation(("a", "b"), TRIANGLE_237 + [(1, 2, -1, -2) * k]).relators
     assert (assert_same(2, rels, limit) is not None) == closes
     assert freed and freed[0] > 0
+
+
+def von_dyck(p, q, r):
+    """<x, y | x^p, y^q, (xy)^r>: order 2 / (1/p + 1/q + 1/r - 1) when that
+    is positive, infinite otherwise."""
+    return 2, [(1,) * p, (2,) * q, (1, 2) * r]
+
+
+# (ngens, relators), limits: powers of one letter (closure flags), of two
+# letters and of commutators (chain fill only), finite and infinite
+POWERS = {
+    "A5": (coxeter(5, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3}), (10**6, 721, 400)),
+    "B4": (NAMED["B4"][0], (10**6, 385, 200)),
+    "D5": (coxeter(5, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3}), (10**6, 1921, 1000)),
+    "vD2,3,5": (von_dyck(2, 3, 5), (10**6, 61, 40)),
+    "vD5,3,2": (von_dyck(5, 3, 2), (10**6, 60, 40)),
+    "vD4,3,2": (von_dyck(4, 3, 2), (10**6, 24, 16)),
+    "vD2,2,9": (von_dyck(2, 2, 9), (10**6, 19, 12)),
+    "vD3,3,3": (von_dyck(3, 3, 3), (300, 1000)),
+    "vD5,5,2": (von_dyck(5, 5, 2), (300, 1000)),
+    "vD2,3,7": (von_dyck(2, 3, 7), (300, 1000)),
+    "237;4": ((2, TRIANGLE_237 + [(1, 2, -1, -2) * 4]), (10**6, 170, 100)),
+    "237;5": ((2, TRIANGLE_237 + [(1, 2, -1, -2) * 5]), (10**6, 300, 100)),
+    "237;6": ((2, TRIANGLE_237 + [(1, 2, -1, -2) * 6]), (10**6, 1093, 600)),
+    "237;7": ((2, TRIANGLE_237 + [(1, 2, -1, -2) * 7]), (10**6, 1093, 600)),
+    **{f"Z{n}": ((1, [(1,) * n]), (10**6, n, n - 1)) for n in (2, 37, 450)},
+    # b a^k b^-1 = a^l with a power of a: gaps x v x^-1 whose ends meet
+    "BS1,2;4": ((2, [(2, 1, -2, -1, -1), (1,) * 4]), (300, 1000)),
+    "BS1,3;3,3": ((2, [(2, 1, -2, -1, -1, -1), (1,) * 3, (2,) * 3]), (10**6, 3, 2)),
+    "BS3,3;3": ((2, [(2, 1, 1, 1, -2, -1, -1, -1), (1,) * 3]), (300, 1000)),
+}
+# cases whose tight limits force lookahead and compaction after flags are set
+FLAGGED_UNDER_LIMIT = {"vD2,3,5", "vD2,3,7", "237;4", "237;5", "237;6", "237;7"}
+
+
+@pytest.mark.parametrize("name", sorted(POWERS))
+def test_proper_powers_match_reference(monkeypatch, name):
+    """Chain fill and closure flags leave HLT unchanged, also when a tight
+    limit forces lookahead and compaction after flags have been set."""
+    flagged = {"_lookahead": 0, "_compact": 0}
+
+    def after_flags(method):
+        original = getattr(_CosetTable, method)
+
+        def wrapped(self, *args):
+            flagged[method] += any(any(flags) for flags in self.flags)
+            return original(self, *args)
+
+        monkeypatch.setattr(_CosetTable, method, wrapped)
+
+    after_flags("_lookahead")
+    after_flags("_compact")
+    (ngens, rels), limits = POWERS[name]
+    rng = random.Random(name)
+    for _ in range(2):
+        p = Presentation(tuple(f"x{i}" for i in range(ngens)), relabel(ngens, rels, rng))
+        for limit in limits:
+            assert_same(p.ngens, p.relators, limit)
+    if name in FLAGGED_UNDER_LIMIT:
+        assert flagged["_lookahead"] and flagged["_compact"]
+
+
+def test_cyclic_relator_closes_in_one_scan(monkeypatch):
+    """<t | t^2000>: one scan defines every coset and flags t^2000 closed at
+    each of them, so enumeration is linear in the order."""
+    calls = []
+    scan = _CosetTable._scan
+
+    def counting(self, *args):
+        calls.append(args)
+        return scan(self, *args)
+
+    monkeypatch.setattr(_CosetTable, "_scan", counting)
+    assert todd_coxeter_order(cyclic_presentation(2000)) == 2000
+    assert len(calls) == 1

@@ -287,6 +287,9 @@ def test_ratvector_normalisation():
         lambda: AbelianInvariants(1.0, ()),
         lambda: IntMatrix(1, 1, (1.0,)),
         lambda: IntMatrix.from_rows([[True]]),
+        lambda: lattice_contains(IntMatrix.from_rows([[2, 0], [0, 2]]), [2.5, 0]),
+        lambda: lattice_contains(IntMatrix.from_rows([[1, 0], [0, 1]]), [True, 0]),
+        lambda: lattice_contains(IntMatrix.from_rows([[1, 0], [0, 1]]), ["1", 0]),
     ],
     ids=[
         "ratvector-float",
@@ -301,6 +304,9 @@ def test_ratvector_normalisation():
         "invariants-float-rank",
         "matrix-float",
         "matrix-bool",
+        "lattice-vector-float",
+        "lattice-vector-bool",
+        "lattice-vector-str",
     ],
 )
 def test_value_types_take_plain_ints_only(make):
