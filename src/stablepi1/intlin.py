@@ -26,20 +26,21 @@ public constructors raise ``ValueError`` on anything but plain ints (a bool,
 float or str); matrices computed from checked ones (products, identities,
 normal forms) skip the check, and ``IntMatrix.identity`` is cached per rank.
 
-``solve_integral`` and the translation solve of
-``torus.conjugate_into_lattice`` share one fraction-free Gauss-Jordan
-elimination on integers (``_gauss_jordan``): each updated row is divided by
-the gcd of its entries, and the pivot is the first row with a nonzero entry
-in its column, so dependent rows give the same solution as elimination over
-the rationals.  Rational results are integer numerators over one
-denominator; no ``Fraction`` is built anywhere.
+Lattice coordinates come from Hermite substitution: ``solve_integral``
+walks the rows of a Hermite basis in order, each row clearing its pivot
+column of the target, and a remainder or a nonzero residue means the target
+is not in the lattice (Cohen, GTM 138, ch. 2).  ``lattice_contains`` is that
+solve on the Hermite form of its generators, and ``membership`` needs no
+solve at all: it reads its answer off the Smith transform U.  A rational
+vector is integer numerators over one denominator, so its coordinates are
+those of a scaled integer vector; no ``Fraction`` is built anywhere.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 
@@ -214,13 +215,6 @@ class RatVector:
 
     def __repr__(self):
         return f"RatVector(numerators={self.numerators}, denominator={self.denominator})"
-
-    @classmethod
-    def from_fractions(cls, fracs):
-        """From ints and fractions: anything with a numerator and a denominator."""
-        fracs = list(fracs)
-        den = lcm(*(f.denominator for f in fracs))
-        return cls(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
 
     @classmethod
     def integers(cls, values):
@@ -488,49 +482,54 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     return IntMatrix._of_rows(m[:r], a.cols)
 
 
+def solve_integral(basis: IntMatrix, target) -> "list[int] | None":
+    """Integer coordinates of ``target`` in ``basis``, or None.
+
+    ``basis`` must be in Hermite form, as ``hermite_normal_form`` returns
+    it: nonzero rows whose pivot columns increase.  Each row in turn clears
+    its pivot column of the target; a remainder there, or a nonzero residue
+    at the end, means the target is not in the lattice.
+    """
+    vec = list(target)
+    if len(vec) != basis.cols:
+        raise ValueError("target length does not match ambient rank")
+    coords = []
+    for i in range(basis.rows):
+        row = basis.row(i)
+        pc = next((j for j, e in enumerate(row) if e), None)
+        if pc is None:
+            raise ValueError("a Hermite basis has no zero row")
+        q, rem = divmod(vec[pc], row[pc])
+        if rem:
+            return None
+        if q:
+            vec = [x - q * y for x, y in zip(vec, row)]
+        coords.append(q)
+    return None if any(vec) else coords
+
+
 def lattice_contains(lattice: IntMatrix, vector) -> bool:
     """Is ``vector`` in the integer row span of ``lattice``?"""
     vec = list(vector)
     _check_ints(vec, "vector entries")
     if len(vec) != lattice.cols:
         raise ValueError("vector length does not match lattice ambient rank")
-    h = hermite_normal_form(lattice)
-    for i in range(h.rows):
-        row = h.row(i)
-        pc = next(j for j, e in enumerate(row) if e)
-        if vec[pc] % row[pc]:
-            return False
-        q = vec[pc] // row[pc]
-        if q:
-            vec = [x - q * y for x, y in zip(vec, row)]
-    return all(x == 0 for x in vec)
+    return solve_integral(hermite_normal_form(lattice), vec) is not None
 
 
-def membership(t: RatVector, a: IntMatrix, lam: IntMatrix) -> bool:
-    """Decide t in (rational column span of a) + (integer row span of lam).
+def membership(t: RatVector, a: IntMatrix) -> bool:
+    """Decide t in (rational column span of a) + Z^n, for a with n rows.
 
-    Exact: the rational column space is split off with a Smith form, and the
-    residual question becomes plain lattice membership decided by Hermite
-    reduction.
+    With U*A*V = D of rank r, U is unimodular and the first r coordinates
+    of U*t are absorbed by D Q^n: t is a member iff every coordinate of U*t
+    from index r on is an integer.
     """
     n = len(t)
     if a.rows != n:
         raise ValueError("a must have one row per coordinate of t")
-    if lam.cols != n:
-        raise ValueError("lam rows must live in the same ambient space as t")
     _m, u, _v, rank = _snf_core(a.to_rows(), u=True)
-    den = t.denominator
-    t_img = [sum(u[i][k] * t.numerators[k] for k in range(n)) for i in range(n)]
-    free = range(rank, n)
-    target = [t_img[i] for i in free]
-    if not target:
-        return True
-    rows = []
-    for idx in range(lam.rows):
-        ell = lam.row(idx)
-        img = [sum(u[i][k] * den * ell[k] for k in range(n)) for i in range(n)]
-        rows.append([img[i] for i in free])
-    return lattice_contains(IntMatrix._of_rows(rows, len(target)), target)
+    nums = t.numerators
+    return all(sum(map(mul, u[i], nums)) % t.denominator == 0 for i in range(rank, n))
 
 
 def saturation(a: IntMatrix) -> IntMatrix:
@@ -543,67 +542,3 @@ def saturation(a: IntMatrix) -> IntMatrix:
     cols = [a.entries[j :: a.cols] for j in range(a.cols)]
     rows = [[sum(map(mul, u[i], col)) // m[i][i] for col in cols] for i in range(rank)]
     return hermite_normal_form(IntMatrix._of_rows(rows, a.cols))
-
-
-def _integer_target(target, n):
-    """(numerators, denominator) of a target vector of ints or rationals."""
-    if len(target) != n:
-        raise ValueError("target length does not match ambient rank")
-    if all(type(x) is int for x in target):
-        return list(target), 1
-    vec = RatVector.from_fractions(target)
-    return list(vec.numerators), vec.denominator
-
-
-def _reduce_by_content(row):
-    g = gcd(*row)
-    return [e // g for e in row] if g > 1 else row
-
-
-def _gauss_jordan(rows: IntMatrix, nums):
-    """Fraction-free Gauss-Jordan on the system rows^T * x^T = nums^T.
-
-    Returns (aug, pivots): aug[idx] is the reduced augmented row whose pivot
-    sits in column pivots[idx], up to a nonzero integer factor, so x at that
-    column is aug[idx][-1] / aug[idx][pivots[idx]].  None when inconsistent.
-    Each updated row is divided by its content.  Every row stays a nonzero
-    multiple of the row that elimination over the rationals would hold, so
-    the pivot choice (the first row with a nonzero entry in the column) and
-    the solution returned for dependent rows are the same as over the rationals.
-    """
-    n = rows.cols
-    aug = [list(rows.entries[i::n]) + [nums[i]] for i in range(n)]
-    pivots = []
-    r = 0
-    for col in range(rows.rows):
-        piv = next((i for i in range(r, n) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        prow = aug[r]
-        p = prow[col]
-        for i in range(n):
-            f = aug[i][col]
-            if f and i != r:
-                aug[i] = _reduce_by_content([p * a - f * b for a, b in zip(aug[i], prow)])
-        pivots.append(col)
-        r += 1
-    if any(row[-1] for row in aug[r:]):
-        return None
-    return aug, pivots
-
-
-def solve_integral(rows: IntMatrix, target) -> "list[int] | None":
-    """Integer coordinates of ``target`` in the row basis, or None."""
-    nums, den = _integer_target(target, rows.cols)
-    solved = _gauss_jordan(rows, nums)
-    if solved is None:
-        return None
-    aug, pivots = solved
-    x = [0] * rows.rows
-    for row, col in zip(aug, pivots):
-        q, rem = divmod(row[-1], row[col] * den)
-        if rem:
-            return None
-        x[col] = q
-    return x

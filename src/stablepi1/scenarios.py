@@ -133,6 +133,8 @@ def _parse_lines(path):
         raw = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
     for lineno, line in enumerate(raw, start=1):
         line = line.split("#", 1)[0].strip()
         if line:
@@ -460,6 +462,9 @@ def _run_bitri(payload, checks):
         count = len(torus.enumerate_glue_subgroups(payload.params))
         if count != 4:
             raise ValidationError(f"expected 4 glue subgroups, found {count}")
+        normalized = torus.enumerate_glue_subgroups(payload.params, normalized=True)
+        if normalized != sorted(torus.glue_subgroup_pair(payload.params)):
+            raise ValidationError("normalised glue subgroups are not the glue subgroup pair")
         checks.append("4 admissible glue subgroups, 2 after normalisation")
     theta = torus.theta_fbar_intersection(payload.params)
     if theta != 3:
@@ -496,21 +501,18 @@ def _run_cover(payload, checks):
         raise ValidationError(
             f"group closure has order {len(elements)}, expected {payload.group_order}"
         )
-    # the closure is the whole group, so freeness is checked on it directly
-    if any(torus.has_fixed_point(e) for e in elements if not e.is_identity):
+    if not torus.is_free_action(elements):
         raise ValidationError("bi-elliptic group action is not free")
     checks.append(f"free action of a group of order {payload.group_order}")
 
     powers = torus.generated_group([payload.deck], cap=64)
     if len(powers) != payload.deck_order:
         raise ValidationError("deck transformation has the wrong order")
-    if any(torus.has_fixed_point(e) for e in powers if not e.is_identity):
+    if not torus.is_free_action(powers):
         raise ValidationError("deck transformation is not free")
     checks.append(f"deck transformation of order {payload.deck_order} acts freely")
 
-    count = torus.preimage_count(
-        payload.crossing, RatVector.zero(payload.crossing.rows)
-    )
+    count = torus.preimage_count(payload.crossing)
     if count != payload.crossing_count:
         raise ValidationError(f"crossing count {count} != {payload.crossing_count}")
     checks.append(f"curve translates cross in {count} points")

@@ -9,15 +9,16 @@ homology bookkeeping of the bi-tri-elliptic constructions.
 Maps compose on integers only: the translation is a vector of integer
 numerators over one denominator, and M t' + t is formed on the numerators
 over the product of the two denominators, then reduced.  Coordinates with
-respect to a lattice basis come from the fraction-free Gauss-Jordan
-elimination in ``intlin``, over one common denominator: no ``Fraction`` is
-built.  ``AffineTorusMap`` hashes by value, as group closures are sets.
+respect to a lattice basis are read off its Hermite form by
+``intlin.solve_integral``, a rational vector's over one common denominator:
+no ``Fraction`` is built.  ``AffineTorusMap`` hashes by value, as group
+closures are sets.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import lcm
+from itertools import combinations, product
+from math import prod
 
 from . import fpgroup
 from .intlin import (
@@ -25,7 +26,6 @@ from .intlin import (
     IntMatrix,
     RatVector,
     SingularMatrix,
-    _gauss_jordan,
     _snf_core,
     cokernel_invariants,
     hermite_normal_form,
@@ -38,7 +38,7 @@ DEFAULT_GROUP_CAP = 512
 
 
 class OrderExceedsCap(RuntimeError):
-    """The requested order or group closure exceeds the given cap."""
+    """The group closure exceeds the given cap."""
 
 
 class InvalidParams(ValueError):
@@ -96,18 +96,6 @@ def compose(f: AffineTorusMap, g: AffineTorusMap) -> AffineTorusMap:
     return AffineTorusMap(f.linear.mul(g.linear), RatVector(moved, df * dg))
 
 
-def map_order(f: AffineTorusMap, cap: int) -> int:
-    """Least n <= cap with f^n = identity on the torus."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    g = f
-    for n in range(1, cap + 1):
-        if g.is_identity:
-            return n
-        g = compose(f, g)
-    raise OrderExceedsCap(f"map order exceeds cap {cap}")
-
-
 def generated_group(gens, cap=DEFAULT_GROUP_CAP):
     """Breadth-first closure of the generated group; deterministic order."""
     gens = list(gens)
@@ -140,25 +128,19 @@ def has_fixed_point(f: AffineTorusMap) -> bool:
     m_minus_i = IntMatrix._trusted(
         n, n, tuple(f.linear.at(i, j) - (1 if i == j else 0) for i in range(n) for j in range(n))
     )
-    return membership(f.translation.negated(), m_minus_i, IntMatrix.identity(n))
+    return membership(f.translation.negated(), m_minus_i)
 
 
-def is_free_action(gens, cap=DEFAULT_GROUP_CAP) -> bool:
-    """No non-identity element of the generated group fixes a point."""
-    for element in generated_group(gens, cap):
-        if element.is_identity:
-            continue
-        if has_fixed_point(element):
-            return False
-    return True
+def is_free_action(elements) -> bool:
+    """No non-identity element of a closed group (all its elements, as
+    ``generated_group`` returns them) fixes a point."""
+    return not any(has_fixed_point(e) for e in elements if not e.is_identity)
 
 
-def preimage_count(a: IntMatrix, t: RatVector) -> int:
-    """Number of torus solutions of A x = t; equals |det A|, any t."""
+def preimage_count(a: IntMatrix) -> int:
+    """Number of torus solutions of A x = t; equals |det A|, for every t."""
     if not a.is_square:
         raise ValueError("need a square matrix")
-    if len(t) != a.rows:
-        raise ValueError("target length must match the rank")
     d = a.det()
     if d == 0:
         raise SingularMatrix("preimage count needs det != 0")
@@ -260,29 +242,18 @@ def enumerate_glue_subgroups(p: BiTriEllipticParams, normalized=False):
         raise InvalidParams("glue subgroup enumeration applies to the even case")
     xi, zeta = _even_two_torsion_marks(p)
     curve_two = _f2_span([xi, zeta])
-    space = [
-        (a, b, c, d)
-        for a in (0, 1)
-        for b in (0, 1)
-        for c in (0, 1)
-        for d in (0, 1)
-    ]
-    nonzero = [v for v in space if any(v)]
+    # trivial axis intersections: every nonzero element of G is nonzero in
+    # both factors, so G is {0, v, w, v + w} with v, w, v + w all among these
+    off_axes = [v for v in product((0, 1), repeat=4) if any(v[:2]) and any(v[2:])]
     found = set()
-    for v, w in combinations(nonzero, 2):
-        sub = _f2_span([v, w])
-        if len(sub) != 4:
+    for v, w in combinations(off_axes, 2):
+        nonzero = (v, w, tuple(a ^ b for a, b in zip(v, w)))
+        # |G cap F[2]| = 2: exactly one nonzero element lies on the curve
+        if nonzero[2] not in off_axes or sum(e in curve_two for e in nonzero) != 1:
             continue
-        if any(e != (0, 0, 0, 0) and e[2] == e[3] == 0 for e in sub):
+        if normalized and xi not in nonzero:
             continue
-        if any(e != (0, 0, 0, 0) and e[0] == e[1] == 0 for e in sub):
-            continue
-        meet = sub & curve_two
-        if len(meet) != 2:
-            continue
-        if normalized and xi not in meet:
-            continue
-        found.add(tuple(sorted(sub)))
+        found.add(tuple(sorted(((0, 0, 0, 0),) + nonzero)))
     return sorted(found)
 
 
@@ -451,9 +422,8 @@ def conjugate_into_lattice(linear: IntMatrix, translation: RatVector, lattice_ro
     new_linear = IntMatrix._of_rows([[new_cols[j][i] for j in range(n)] for i in range(n)], n)
     if len(translation) != n:
         raise ValueError("translation length must match the rank")
-    # basis is square and nonsingular: every column is a pivot, aug[i] holds
-    # column i, and coordinate i is aug[i][-1] / (aug[i][i] * denominator)
-    aug, _pivots = _gauss_jordan(basis, translation.numerators)
-    common = lcm(*(aug[i][i] for i in range(n)))
-    nums = [aug[i][-1] * (common // aug[i][i]) for i in range(n)]
-    return AffineTorusMap(new_linear, RatVector(nums, common * translation.denominator))
+    # L has index det in Z^n, so det * Z^n lies in L and the coordinates of
+    # t = nums / den are the integer coordinates of det * nums over det * den
+    det = prod(basis.at(i, i) for i in range(n))
+    coords = solve_integral(basis, [det * x for x in translation.numerators])
+    return AffineTorusMap(new_linear, RatVector(coords, det * translation.denominator))

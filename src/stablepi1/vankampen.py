@@ -9,13 +9,13 @@ by edge, and the group of the glued surface is the amalgamated product of
 the two sides over the double curve.  When the normalisation is simply
 connected, as for every catalogue scenario, that amalgam is pi_1(D) modulo
 the normal closure of the image of pi_1(D-bar), and the scenario runner
-takes this quotient directly; glue_fundamental_group builds the general
-pushout.
+takes this quotient directly; ``fpgroup.amalgamated_product`` builds the
+general pushout.
 """
 
 from __future__ import annotations
 
-from .fpgroup import GroupHom, Presentation, amalgamated_product, reduce_word
+from .fpgroup import GroupHom, Presentation, reduce_word
 
 
 class DisconnectedComplex(ValueError):
@@ -192,14 +192,3 @@ def induced_hom(m: GluingMap, src: Pi1Data, tgt: Pi1Data) -> GroupHom:
             mapped.append((image, sign * esign))
         images.append(path_word(tgt, mapped))
     return GroupHom(src.presentation, tgt.presentation, tuple(images))
-
-
-def glue_fundamental_group(
-    pi_xbar: Presentation, to_xbar: GroupHom, to_d: GroupHom
-) -> Presentation:
-    """Group of the glued surface: the pushout over the double-curve group."""
-    if to_xbar.source != to_d.source:
-        raise ValueError("the two homomorphisms must share their source")
-    if to_xbar.target != pi_xbar:
-        raise ValueError("to_xbar must land in pi_xbar")
-    return amalgamated_product(pi_xbar, to_d.target, to_xbar.source, to_xbar, to_d)

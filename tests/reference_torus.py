@@ -1,21 +1,33 @@
 """Reference torus and rowspace kernels for differential tests: the
 ``Fraction`` versions that the integer-only ``torus.compose``,
 ``torus.conjugate_into_lattice``, ``IntMatrix.mul``,
-``intlin.solve_in_rowspace`` and ``intlin.solve_integral`` replaced, kept
-verbatim (only the function names differ, ``mul`` takes its matrix as an
-argument, the conjugation calls the reference solve, and ``fractions`` is
-the former ``RatVector.fractions`` as a function).  The package itself no
-longer builds any ``Fraction``.
+``intlin.solve_in_rowspace`` and ``intlin.solve_integral`` replaced, and the
+Smith-form route of ``intlin.membership``, kept verbatim (only the function
+names differ, ``mul`` takes its matrix as an argument, the conjugation calls
+the reference solve, ``fractions`` and ``from_fractions`` are the former
+``RatVector.fractions`` and ``RatVector.from_fractions`` as functions, and
+the membership takes the unit lattice for its former ``lam`` argument and
+runs on the reference Smith kernel of ``tests/reference_snf.py``).  The
+package itself no longer builds any ``Fraction``.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from stablepi1.intlin import IntMatrix, RatVector, hermite_normal_form
+from reference_snf import reference_snf_core
+from stablepi1.intlin import IntMatrix, RatVector, hermite_normal_form, lattice_contains
 from stablepi1.torus import AffineTorusMap
 
 
 def fractions(vec: RatVector):
     return tuple(Fraction(n, vec.denominator) for n in vec.numerators)
+
+
+def from_fractions(fracs) -> RatVector:
+    """From ints and fractions: anything with a numerator and a denominator."""
+    fracs = list(fracs)
+    den = lcm(*(f.denominator for f in fracs))
+    return RatVector(tuple(f.numerator * (den // f.denominator) for f in fracs), den)
 
 
 def reference_compose(f: AffineTorusMap, g: AffineTorusMap) -> AffineTorusMap:
@@ -29,7 +41,7 @@ def reference_compose(f: AffineTorusMap, g: AffineTorusMap) -> AffineTorusMap:
         sum(Fraction(f.linear.at(i, k)) * tg[k] for k in range(f.rank)) + tf[i]
         for i in range(f.rank)
     ]
-    return AffineTorusMap(linear, RatVector.from_fractions(moved))
+    return AffineTorusMap(linear, from_fractions(moved))
 
 
 def reference_mul(a: IntMatrix, other: IntMatrix) -> IntMatrix:
@@ -110,4 +122,30 @@ def reference_conjugate_into_lattice(linear: IntMatrix, translation: RatVector, 
     t_coords = reference_solve_in_rowspace(basis, [Fraction(x, translation.denominator) for x in translation.numerators])
     if t_coords is None:
         raise ValueError("translation outside the rational span of the lattice")
-    return AffineTorusMap(new_linear, RatVector.from_fractions(t_coords))
+    return AffineTorusMap(new_linear, from_fractions(t_coords))
+
+
+def reference_membership(t: RatVector, a: IntMatrix) -> bool:
+    """Decide t in (rational column span of a) + Z^n.
+
+    The rational column space is split off with a Smith form, and the
+    residual question becomes plain lattice membership decided by Hermite
+    reduction: the images of the unit vectors, projected to the coordinates
+    the Smith form leaves free, scaled by the denominator of t.
+    """
+    n = len(t)
+    if a.rows != n:
+        raise ValueError("a must have one row per coordinate of t")
+    _m, u, _v, _vinv, rank = reference_snf_core(a.to_rows())
+    den = t.denominator
+    t_img = [sum(u[i][k] * t.numerators[k] for k in range(n)) for i in range(n)]
+    free = range(rank, n)
+    target = [t_img[i] for i in free]
+    if not target:
+        return True
+    rows = []
+    for idx in range(n):
+        ell = [1 if k == idx else 0 for k in range(n)]
+        img = [sum(u[i][k] * den * ell[k] for k in range(n)) for i in range(n)]
+        rows.append([img[i] for i in free])
+    return lattice_contains(IntMatrix.from_rows(rows, cols=len(target)), target)

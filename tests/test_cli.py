@@ -231,3 +231,23 @@ def test_directory_without_scenarios_is_a_usage_error(capsys, tmp_path, command,
     assert code == 2
     assert f"no scenario files in {directory}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("command, want", [("verify-all", 1), ("list", 2)])
+def test_unreadable_scenario_file_is_reported_not_raised(capsys, tmp_path, command, want):
+    # a directory named like a scenario file: the read fails even as root
+    import shutil
+
+    from stablepi1.scenarios import bundled_catalogue_dir
+
+    shutil.copy(bundled_catalogue_dir() / "R3.scn", tmp_path / "R3.scn")
+    (tmp_path / "x.scn").mkdir()
+    code, out, err = run_cli(capsys, [command, "--catalogue-dir", str(tmp_path), "--format", "json"])
+    assert code == want
+    if command == "list":
+        assert out == "" and err.startswith(f"error: {tmp_path / 'x.scn'}: cannot read: ")
+    else:
+        reports = {r["scenario"]: r for r in json.loads(out)["reports"]}
+        assert reports["R3"]["verdict"] == "pass"
+        assert reports["x"]["error"].startswith(f"ParseError: {tmp_path / 'x.scn'}: cannot read: ")
+        assert "Traceback" not in err

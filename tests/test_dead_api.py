@@ -1,9 +1,11 @@
-"""No public API that only tests call.
+"""No public API that only tests call, no private name across modules.
 
 Every public module-level function and class of ``src/stablepi1`` and every
 public method must be referenced, as a name or an attribute, somewhere in
-``src/`` or ``perfbench/`` other than its own definition.  Names kept for a
-stated reason are allowlisted.
+``src/`` or ``perfbench/`` other than its own definition.  No module of the
+package may import another module's ``_private`` name, by name or as an
+attribute of the imported module.  Names kept for a stated reason are
+allowlisted.
 """
 
 import ast
@@ -14,10 +16,12 @@ PACKAGE = ROOT / "src" / "stablepi1"
 
 ALLOWED = {
     "cli.entrypoint": "the console script in pyproject.toml",
-    "torus.map_order": "acceptance test 3",
-    "torus.is_free_action": "acceptance test 3",
-    "torus.glue_subgroup_pair": "acceptance test 4",
-    "vankampen.glue_fundamental_group": "the reference route of acceptance test 5d",
+}
+
+# importer -> module.name of a private name it imports
+ALLOWED_PRIVATE = {
+    "torus -> intlin._snf_core": "eplus_presentation reads V of the Smith form, no U or D",
+    "cli -> scenarios._int_token": "the snf command and --max-cosets parse ASCII integers as scenario files do",
 }
 
 
@@ -57,3 +61,32 @@ def test_allowlist_names_only_defined_names_without_a_caller():
     used = referenced_names()
     assert set(ALLOWED) <= set(defined)
     assert [q for q in ALLOWED if defined[q] in used] == []
+
+
+def private_imports():
+    """'importer -> module.name' for every private name a package module
+    takes from another: ``from .m import _x`` or ``m._x`` after ``from . import m``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None:
+                        modules.add(alias.asname or alias.name)
+                    elif alias.name.startswith("_"):
+                        found.add(f"{path.stem} -> {node.module}.{alias.name}")
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                found.add(f"{path.stem} -> {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_private_name_crosses_a_module_boundary_unlisted():
+    assert private_imports() == set(ALLOWED_PRIVATE)

@@ -211,6 +211,19 @@ class TestRun:
         r = run_scenario(wrong)
         assert not r.passed and r.order == 4 and r.error is None
 
+    @pytest.mark.parametrize("name", ["E2", "E4"])
+    def test_wrong_glue_subgroup_pair_fails_the_even_report(self, monkeypatch, name):
+        s = load_scenario(bundled_catalogue_dir() / f"{name}.scn")
+        params = s.payload.params
+        normalized = torus.enumerate_glue_subgroups(params, normalized=True)
+        others = [g for g in torus.enumerate_glue_subgroups(params) if g not in normalized]
+        assert len(others) == 2 and run_scenario(s).passed
+        monkeypatch.setattr(torus, "glue_subgroup_pair", lambda p: tuple(others))
+        r = run_scenario(s)
+        assert not r.passed
+        assert r.error == "ValidationError: normalised glue subgroups are not the glue subgroup pair"
+        assert not any("after normalisation" in c for c in r.checks)
+
     def test_payload_without_runner_is_a_failed_report(self):
         s = load_scenario(bundled_catalogue_dir() / "B1.scn")
         odd = Scenario(
@@ -264,6 +277,15 @@ class TestCatalogue:
         assert summary["total"] == 3 and summary["passed"] == 2
         broken = next(r for r in reports if r.scenario == "broken")
         assert not broken.passed and "ParseError" in broken.error
+
+    def test_unreadable_file_is_a_parse_error(self, tmp_path):
+        # a directory, not a permission change: root may read any file
+        (tmp_path / "x.scn").mkdir()
+        with pytest.raises(ParseError, match="x.scn: cannot read"):
+            load_scenario(tmp_path / "x.scn")
+        reports, summary = verify_catalogue(tmp_path)
+        assert summary == {"total": 1, "passed": 0, "all_pass": False}
+        assert reports[0].scenario == "x" and reports[0].error.startswith("ParseError: ")
 
     def test_twisting_number_matches_id_numeral(self):
         for s in load_catalogue():

@@ -6,7 +6,9 @@
 ``Fraction`` versions they replaced (``tests/reference_torus.py``) they must
 return equal results on seeded random inputs, and the cover scenarios B1 and
 B2 must get the same group closure and the same conjugated deck
-transformation.
+transformation.  ``intlin.membership`` reads its answer off the Smith
+transform; it must agree with the former route through a lattice
+membership.
 """
 
 import random
@@ -15,8 +17,10 @@ from fractions import Fraction
 import pytest
 
 from reference_torus import (
+    from_fractions,
     reference_compose,
     reference_conjugate_into_lattice,
+    reference_membership,
     reference_mul,
     reference_solve_in_rowspace,
     reference_solve_integral,
@@ -26,6 +30,7 @@ from stablepi1.intlin import (
     IntMatrix,
     RatVector,
     hermite_normal_form,
+    membership,
     solve_integral,
 )
 from stablepi1.scenarios import bundled_catalogue_dir, load_scenario
@@ -113,11 +118,14 @@ def targets(rng, rows, n):
 
 
 def test_solve_matches_reference():
+    """The Hermite form of every corpus basis, against its integer targets."""
     rng = random.Random(7)
-    kinds = {"none": 0, "fraction": 0, "integral": 0, "not integral": 0}
+    kinds = {"none": 0, "integral": 0, "not integral": 0}
     for rows, n in bases(rng):
-        basis = IntMatrix.from_rows(rows, cols=n)
+        basis = hermite_normal_form(IntMatrix.from_rows(rows, cols=n))
         for target in targets(rng, rows, n):
+            if any(type(x) is Fraction for x in target):
+                continue
             want = reference_solve_in_rowspace(basis, target)
             want_int = reference_solve_integral(basis, target)
             assert solve_integral(basis, target) == want_int, (rows, target)
@@ -128,8 +136,6 @@ def test_solve_matches_reference():
             else:
                 kinds["integral"] += 1
                 assert all(type(x) is int for x in solve_integral(basis, target))
-            if any(type(x) is Fraction and x.denominator != 1 for x in target):
-                kinds["fraction"] += 1
     assert all(kinds.values()), kinds
 
 
@@ -157,7 +163,7 @@ def test_conjugate_into_lattice_matches_reference():
         lattice = IntMatrix.from_rows(rows, cols=n)
         maps = lattice_maps(rng, rows, n)
         for k, target in enumerate(targets(rng, rows, n)):
-            args = (maps[k % len(maps)], RatVector.from_fractions(target), lattice)
+            args = (maps[k % len(maps)], from_fractions(target), lattice)
             try:
                 want = reference_conjugate_into_lattice(*args)
             except ValueError as exc:
@@ -183,11 +189,38 @@ def test_solve_edge_cases():
     assert solve_integral(IntMatrix.zeros(0, 3), [0, 0, 0]) == []
     with pytest.raises(ValueError, match="full rank"):
         conjugate_into_lattice(IntMatrix.identity(3), RatVector.zero(3), IntMatrix.zeros(0, 3))
-    assert solve_integral(IntMatrix.zeros(2, 0), []) == [0, 0]
+    # a zero row is no Hermite basis row: it has no pivot column
+    for basis in (IntMatrix.zeros(2, 0), IntMatrix.from_rows([[1, 0], [0, 0]])):
+        with pytest.raises(ValueError, match="zero row"):
+            solve_integral(basis, [0] * basis.cols)
     with pytest.raises(ValueError):
         conjugate_into_lattice(ident, RatVector((1, 2, 3), 1), two)
     with pytest.raises(ValueError):
         solve_integral(two, [1])
+
+
+def test_membership_matches_reference():
+    """Seeded t and a, some a with zero columns: half the t are built as
+    a x + z for a rational x and an integer z, so members are common."""
+    rng = random.Random(12)
+    kinds = {"member": 0, "not member": 0, "no columns": 0, "two or more free": 0}
+    for _ in range(1200):
+        n = rng.randint(1, 5)
+        k = rng.choice((0, 1, 1, 2, 2, 3, n))
+        a = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)], cols=k)
+        den = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            x = [rng.randint(-2 * den, 2 * den) for _ in range(k)]
+            nums = [e + den * rng.randint(-2, 2) for e in a.mul_vector(x)]
+        else:
+            nums = [rng.randint(-2 * den, 2 * den) for _ in range(n)]
+        t = RatVector(nums, den)
+        got = membership(t, a)
+        assert got == reference_membership(t, a), (t, a)
+        kinds["member" if got else "not member"] += 1
+        kinds["no columns"] += k == 0
+        kinds["two or more free"] += n - k >= 2 and not got
+    assert all(v >= 50 for v in kinds.values()), kinds
 
 
 def cover_file(name):

@@ -9,7 +9,6 @@ from stablepi1.vankampen import (
     GluingMap,
     IncompatibleMap,
     check_map,
-    glue_fundamental_group,
     induced_hom,
     path_word,
     pi1_presentation,
@@ -221,7 +220,7 @@ class TestGlue:
         to_trivial = fpgroup.GroupHom(
             src.presentation, trivial, ((),) * src.presentation.ngens
         )
-        return glue_fundamental_group(trivial, to_trivial, hom)
+        return fpgroup.amalgamated_product(trivial, hom.target, hom.source, to_trivial, hom)
 
     def test_two_conics_gives_order_four(self):
         glued = self.glue(two_conics_complex(), wedge_complex(), folding_map())
@@ -237,7 +236,7 @@ class TestGlue:
             folding_map(), src, pi1_presentation(wedge_complex())
         )
         with pytest.raises(ValueError):
-            glue_fundamental_group(trivial, to_trivial, hom)
+            fpgroup.amalgamated_product(trivial, hom.target, hom.source, to_trivial, hom)
 
 
 def test_invariants_stable_under_edge_permutation():
@@ -258,7 +257,7 @@ def test_invariants_stable_under_edge_permutation():
         to_trivial = fpgroup.GroupHom(
             src.presentation, trivial, ((),) * src.presentation.ngens
         )
-        glued = glue_fundamental_group(trivial, to_trivial, hom)
+        glued = fpgroup.amalgamated_product(trivial, hom.target, hom.source, to_trivial, hom)
         return fpgroup.todd_coxeter_order(glued), fpgroup.abelianization(glued)
 
     assert invariants(base) == invariants(permuted)
