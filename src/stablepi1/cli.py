@@ -1,7 +1,9 @@
 """Command-line front end: list, run and verify scenarios, print Smith forms.
 
 Exit codes: 0 success / all pass, 1 verification failure, 2 usage or input
-error, a catalogue directory without scenario files included.
+error, a catalogue directory without scenario files included.  A scenario
+file is named after its id: ``run <id>`` reads ``<id>.scn`` alone, and a
+file whose id is not its name fails ``verify-all`` and stops ``list``.
 ``STABLEPI1_MAX_COSETS`` overrides the default coset limit.
 """
 
@@ -21,6 +23,7 @@ from .scenarios import (
     _int_token,
     bundled_catalogue_dir,
     load_catalogue,
+    load_catalogue_file,
     run_scenario,
     verify_catalogue,
 )
@@ -84,14 +87,18 @@ def _cmd_list(args):
 
 
 def _cmd_run(args):
-    scenarios = _load_all(args.catalogue_dir)
-    if scenarios is None:
+    # the file named after the id, and no other: its siblings are not read
+    sid = args.scenario
+    path = args.catalogue_dir / f"{sid}.scn"
+    if Path(sid).name != sid or not path.is_file():
+        print(f"error: unknown scenario '{sid}'", file=sys.stderr)
         return 2
-    match = next((s for s in scenarios if s.id == args.scenario), None)
-    if match is None:
-        print(f"error: unknown scenario '{args.scenario}'", file=sys.stderr)
+    try:
+        scenario = load_catalogue_file(path)
+    except (ParseError, ValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run_scenario(match, max_cosets=args.max_cosets)
+    report = run_scenario(scenario, max_cosets=args.max_cosets)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -160,6 +167,7 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--catalogue-dir",
+        type=Path,
         default=None,
         help=f"scenario directory (default: bundled catalogue at {bundled_catalogue_dir()})",
     )
@@ -204,8 +212,7 @@ def main(argv=None) -> int:
         print(f"error: {source} must be a positive integer, got {limit!r}", file=sys.stderr)
         return 2
     if args.command != "snf":
-        directory = args.catalogue_dir
-        directory = bundled_catalogue_dir() if directory is None else Path(directory)
+        directory = args.catalogue_dir = args.catalogue_dir or bundled_catalogue_dir()
         if not any(directory.glob("*.scn")):
             print(f"error: no scenario files in {directory}", file=sys.stderr)
             return 2

@@ -10,9 +10,23 @@ Every Smith form comes from one kernel, ``_snf_core``, which accumulates only
 the transforms its caller reads; the pivot sequence, and so every result,
 is the same whichever it builds:
 
-- ``cokernel_invariants``: the diagonal only, no transform;
+- ``cokernel_invariants``: the Smith diagonal of the Hermite rows, no
+  transform;
 - ``smith_normal_form``: U and V;
 - ``membership`` and ``saturation``: U only.
+
+Every Hermite form comes from ``_hermite_rows``, which inserts the rows one
+at a time into a basis kept in Hermite form (Kannan and Bachem, SIAM J.
+Comput. 8, 1979; Cohen, GTM 138, sec. 2.4).  A row is reduced against the
+basis pivot by pivot: by exact division where the basis pivot divides its
+entry, otherwise by a 2 x 2 extended-gcd step that leaves the gcd as the new
+pivot and carries the remainder row on.  A row that reaches a column with no
+pivot joins the basis there.  Before the next row comes in, every row the
+insertion changed is reduced by the rows below it, and the rows above by
+it, so entries stay near the size of the final form's; eliminating one
+column at a time across all rows lets them grow to hundreds of bits first.
+The Hermite rows span the same lattice as the input with far smaller
+entries, so ``cokernel_invariants`` runs the Smith kernel on them.
 
 While it is built, V is held as a list of its columns, so a column operation
 is one list comprehension; it is returned by rows.  A column operation on the
@@ -432,74 +446,127 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
 
 def cokernel_invariants(a: IntMatrix, ambient_rank: int) -> AbelianInvariants:
-    """Invariants of Z^ambient_rank modulo the row span of ``a``."""
+    """Invariants of Z^ambient_rank modulo the row span of ``a``: the Smith
+    diagonal of the Hermite rows of ``a``, which span the same lattice."""
     if a.cols != ambient_rank:
         raise ValueError("rows of a must live in Z^ambient_rank")
-    if a.rows == 0:
-        return AbelianInvariants(ambient_rank, ())
-    m, _u, _v, rank = _snf_core(a.to_rows())
+    m, _u, _v, rank = _snf_core(_hermite_rows(a.to_rows()))
     diag = [m[i][i] for i in range(rank)]
     return AbelianInvariants(ambient_rank - rank, tuple(d for d in diag if d > 1))
 
 
-def hermite_normal_form(a: IntMatrix) -> IntMatrix:
-    """Row-style Hermite form: echelon, positive pivots, reduced above, zero rows dropped."""
-    m = a.to_rows()
-    nrows = len(m)
-    r = 0
-    for col in range(a.cols):
+def _hermite_rows(rows):
+    """Rows of the Hermite form of the row span of ``rows``, by row insertion.
+
+    Each row is reduced against the basis, pivot column by pivot column, and
+    the basis is reduced again before the next row comes in.  ``rows`` is a
+    list of lists that the kernel owns: it changes them in place.
+    """
+    basis = []  # the Hermite rows, in pivot order
+    pivots = []  # pivot column of each basis row
+    for v in rows:
+        width = len(v)
+        n = len(basis)
+        changed = []  # positions of the basis rows this row changed, ascending
+        i = p = 0
         while True:
-            best = None
-            where = None
-            for i in range(r, nrows):
-                e = m[i][col]
-                if e:
-                    v = -e if e < 0 else e
-                    if best is None or v < best:
-                        best = v
-                        where = i
-            if where is None:
+            while p < width and not v[p]:
+                p += 1
+            if p == width:
                 break
-            if where != r:
-                m[r], m[where] = m[where], m[r]
-            if m[r][col] < 0:
-                m[r] = [-e for e in m[r]]
-            done = True
-            for i in range(r + 1, nrows):
-                q = m[i][col] // m[r][col]
-                if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                if m[i][col]:
-                    done = False
-            if done:
+            while i < n and pivots[i] < p:
+                i += 1
+            if i == n or pivots[i] != p:
+                # rows changed so far sit above i, so their positions hold
+                if v[p] < 0:
+                    v = [-x for x in v]
+                basis.insert(i, v)
+                pivots.insert(i, p)
+                changed.append(i)
+                n += 1
                 break
-        if where is not None:
-            for i in range(r):
-                q = m[i][col] // m[r][col]
+            h = basis[i]
+            hp = h[p]
+            vp = v[p]
+            q, rem = divmod(vp, hp)
+            if rem:
+                # s*hp + t*vp = g = gcd(hp, vp) > 0; [[s, t], [-b, a]] is unimodular
+                g = gcd(hp, vp)
+                a = hp // g
+                b = vp // g
+                s = pow(a, -1, abs(b))
+                t = (1 - s * a) // b
+                hs = h[p:]
+                vs = v[p:]
+                basis[i] = h[:p] + [s * x + t * y for x, y in zip(hs, vs)]
+                v[p:] = [a * y - b * x for x, y in zip(hs, vs)]
+                changed.append(i)
+            else:
+                v[p:] = [y - q * x for x, y in zip(h[p:], v[p:])]
+            i += 1
+            p += 1
+        if not changed:
+            continue
+        # bottom up from the last changed row.  A changed row is reduced by
+        # every row below it.  Any other row only needs reducing at the
+        # pivots of the changed rows below it, and once one of them moves
+        # it, by every row from that one on; its own pivot entry stays, so
+        # the rows above it need nothing more.
+        for k in range(changed[-1], -1, -1):
+            h = basis[k]
+            if k in changed:
+                start = k + 1
+            else:
+                start = n
+                for j in changed:
+                    if j > k and h[pivots[j]] // basis[j][pivots[j]]:
+                        start = j
+                        break
+            for j in range(start, n):
+                pj = pivots[j]
+                row = basis[j]
+                q = h[pj] // row[pj]
                 if q:
-                    m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-            r += 1
-    return IntMatrix._of_rows(m[:r], a.cols)
+                    h[pj:] = [x - q * y for x, y in zip(h[pj:], row[pj:])]
+    return basis
+
+
+def hermite_normal_form(a: IntMatrix) -> IntMatrix:
+    """Row-style Hermite form: echelon, positive pivots, reduced above, zero rows dropped.
+
+    The rows of ``a`` are inserted one at a time into a basis kept in this
+    form, so entries stay near their final size (Kannan and Bachem, 1979).
+    The form of a lattice is unique: it does not depend on the order of the
+    rows or on the basis they are given in.
+    """
+    return IntMatrix._of_rows(_hermite_rows(a.to_rows()), a.cols)
 
 
 def solve_integral(basis: IntMatrix, target) -> "list[int] | None":
     """Integer coordinates of ``target`` in ``basis``, or None.
 
-    ``basis`` must be in Hermite form, as ``hermite_normal_form`` returns
-    it: nonzero rows whose pivot columns increase.  Each row in turn clears
-    its pivot column of the target; a remainder there, or a nonzero residue
-    at the end, means the target is not in the lattice.
+    ``basis`` must be echelon with positive pivots, as the Hermite form
+    ``hermite_normal_form`` returns is: nonzero rows whose pivots are
+    positive and whose pivot columns strictly increase.  Anything else
+    raises ``ValueError``.  Each row in turn clears its pivot column of the
+    target; a remainder there, or a nonzero residue at the end, means the
+    target is not in the lattice.
     """
     vec = list(target)
     if len(vec) != basis.cols:
         raise ValueError("target length does not match ambient rank")
     coords = []
+    last = -1  # pivot column of the row before
     for i in range(basis.rows):
         row = basis.row(i)
         pc = next((j for j, e in enumerate(row) if e), None)
         if pc is None:
             raise ValueError("a Hermite basis has no zero row")
-        q, rem = divmod(vec[pc], row[pc])
+        pivot = row[pc]
+        if pivot < 0 or pc <= last:
+            raise ValueError("not a Hermite basis: pivots must be positive, in increasing columns")
+        last = pc
+        q, rem = divmod(vec[pc], pivot)
         if rem:
             return None
         if q:

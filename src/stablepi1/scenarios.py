@@ -643,7 +643,7 @@ def verify_catalogue(directory=None, max_cosets=DEFAULT_MAX_COSETS):
     reports = []
     for path in sorted(directory.glob("*.scn")):
         try:
-            scenario = load_scenario(path)
+            scenario = load_catalogue_file(path)
         except (ParseError, ValidationError) as exc:
             reports.append(_failed_report(path.stem, exc))
             continue
@@ -654,9 +654,18 @@ def verify_catalogue(directory=None, max_cosets=DEFAULT_MAX_COSETS):
     return reports, summary
 
 
+def load_catalogue_file(path) -> Scenario:
+    """``load_scenario`` for a catalogue file, which must be named after its id."""
+    scenario = load_scenario(path)
+    if scenario.id != Path(path).stem:
+        raise ValidationError(f"{path}: scenario id '{scenario.id}' does not match the file name")
+    return scenario
+
+
 def load_catalogue(directory=None):
-    """All bundled scenarios, sorted by id.  Raises on malformed files."""
+    """All bundled scenarios, sorted by id.  Raises on a malformed file or
+    one not named after its id."""
     directory = Path(directory) if directory is not None else bundled_catalogue_dir()
-    scenarios = [load_scenario(p) for p in sorted(directory.glob("*.scn"))]
+    scenarios = [load_catalogue_file(p) for p in sorted(directory.glob("*.scn"))]
     scenarios.sort(key=lambda s: s.id)
     return scenarios

@@ -251,3 +251,54 @@ def test_unreadable_scenario_file_is_reported_not_raised(capsys, tmp_path, comma
         assert reports["R3"]["verdict"] == "pass"
         assert reports["x"]["error"].startswith(f"ParseError: {tmp_path / 'x.scn'}: cannot read: ")
         assert "Traceback" not in err
+
+
+def _catalogue_with(tmp_path, *names):
+    import shutil
+
+    from stablepi1.scenarios import bundled_catalogue_dir
+
+    for name in names:
+        shutil.copy(bundled_catalogue_dir() / f"{name}.scn", tmp_path / f"{name}.scn")
+
+
+def test_run_reads_only_the_file_named_after_the_id(capsys, tmp_path):
+    # a sibling that cannot be read does not stop another scenario's run
+    _catalogue_with(tmp_path, "R3")
+    (tmp_path / "x.scn").mkdir()
+    code, out, err = run_cli(capsys, ["run", "R3", "--catalogue-dir", str(tmp_path)])
+    assert code == 0 and err == ""
+    assert "verdict: **pass**" in out
+
+
+def test_a_file_not_named_after_its_id_is_refused(capsys, tmp_path):
+    _catalogue_with(tmp_path, "B1")
+    dup = tmp_path / "Zdup.scn"
+    dup.write_text((tmp_path / "B1.scn").read_text())
+    where = ["--catalogue-dir", str(tmp_path)]
+    code, out, _err = run_cli(capsys, ["verify-all", "--format", "json", *where])
+    assert code == 1
+    reports = {r["scenario"]: r for r in json.loads(out)["reports"]}
+    assert reports["B1"]["verdict"] == "pass"
+    assert reports["Zdup"]["verdict"] == "fail"
+    assert reports["Zdup"]["error"] == (
+        f"ValidationError: {dup}: scenario id 'B1' does not match the file name"
+    )
+    code, out, err = run_cli(capsys, ["list", *where])
+    assert code == 2 and out == ""
+    assert err == f"error: {dup}: scenario id 'B1' does not match the file name\n"
+    code, out, err = run_cli(capsys, ["run", "Zdup", *where])
+    assert code == 2 and out == ""
+    assert "does not match the file name" in err
+    code, _out, _err = run_cli(capsys, ["run", "B1", *where])
+    assert code == 0
+
+
+@pytest.mark.parametrize("sid", ["sub/R3", "../catalogue/R3", "R3/", ""])
+def test_run_id_must_be_a_plain_file_name(capsys, tmp_path, sid):
+    _catalogue_with(tmp_path, "R3")
+    (tmp_path / "sub").mkdir()
+    _catalogue_with(tmp_path / "sub", "R3")
+    code, out, err = run_cli(capsys, ["run", sid, "--catalogue-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert f"unknown scenario '{sid}'" in err

@@ -249,6 +249,12 @@ class TestHermiteAndSolve:
         # no rational solution either: a nonzero residue is left
         assert solve_integral(mat([[1, 0]]), [0, 1]) is None
 
+    @pytest.mark.parametrize("rows", [[[1, 0], [1, 1]], [[-1, 0], [0, 1]], [[0, 1], [1, 0]]])
+    def test_solve_rejects_a_basis_not_in_hermite_form(self, rows):
+        # (1, 1) is in the span of each, but no row order clears it pivot by pivot
+        with pytest.raises(ValueError, match="not a Hermite basis"):
+            solve_integral(mat(rows), [1, 1])
+
 
 @settings(max_examples=100)
 @given(
