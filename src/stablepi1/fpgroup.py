@@ -131,31 +131,11 @@ def trivial_presentation():
     return Presentation((), ())
 
 
-def cyclic_presentation(n, name="t"):
+def cyclic_presentation(n):
     """The standard presentation of Z/n (n >= 1)."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    return Presentation((name,), ((1,) * n,))
-
-
-class GroupHom:
-    """Homomorphism given by one target word per source generator.
-
-    Constructing the object only validates shapes; that relators map to the
-    identity is not checked.
-    """
-
-    __slots__ = ("source", "target", "images")
-
-    def __init__(self, source: Presentation, target: Presentation, images):
-        imgs = tuple(reduce_word(tuple(w)) for w in images)
-        if len(imgs) != source.ngens:
-            raise ValueError("need exactly one image per source generator")
-        for w in imgs:
-            _validate_word(w, target.ngens)
-        self.source = source
-        self.target = target
-        self.images = imgs
+    return Presentation(("t",), ((1,) * n,))
 
 
 # -- abelianization ----------------------------------------------------
@@ -174,17 +154,7 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     return cokernel_invariants(IntMatrix._of_rows(rows, p.ngens), p.ngens)
 
 
-# -- quotients and products ---------------------------------------------
-
-
-def quotient_by_normal_closure(p: Presentation, words) -> Presentation:
-    """p / <<words>>: append the words as relators."""
-    extra = []
-    for w in words:
-        w = tuple(w)
-        _validate_word(w, p.ngens)
-        extra.append(w)
-    return Presentation(p.names, p.relators + tuple(extra))
+# -- amalgamated products -----------------------------------------------
 
 
 def _shift_word(word, offset):
@@ -193,16 +163,17 @@ def _shift_word(word, offset):
     )
 
 
-def amalgamated_product(pa, pb, pc, f: GroupHom, g: GroupHom) -> Presentation:
-    """Pushout presentation of pa *_{pc} pb along f: C->A and g: C->B.
+def amalgamated_product(pa, pb, identifications) -> Presentation:
+    """Pushout presentation of pa and pb glued along ``identifications``.
 
-    Generators are those of pa followed by those of pb; relators are both
-    relator sets plus f(c) g(c)^-1 for every generator c of pc.
+    Each identification is a pair (u, v): the images, as a word u in pa and
+    a word v in pb, of one generator of the group C that pa and pb are glued
+    over; C's relators play no part.  A word outside its side's generators
+    raises ValueError.  Generators are those of pa followed by those of pb,
+    primed where a name is taken; relators are pa's, pb's shifted past pa's
+    generators, and u v^-1 for every pair.  A trivial pa gives
+    pb / <<v^-1>>: the amalgam over a simply connected normalisation.
     """
-    if f.source != pc or g.source != pc:
-        raise ValueError("f and g must share source pc")
-    if f.target != pa or g.target != pb:
-        raise ValueError("f must land in pa and g in pb")
     offset = pa.ngens
     used = set(pa.names)
     bnames = []
@@ -214,9 +185,12 @@ def amalgamated_product(pa, pb, pc, f: GroupHom, g: GroupHom) -> Presentation:
         bnames.append(candidate)
     relators = list(pa.relators)
     relators.extend(_shift_word(w, offset) for w in pb.relators)
-    for i in range(pc.ngens):
-        relators.append(f.images[i] + inverse_word(_shift_word(g.images[i], offset)))
-    return Presentation(pa.names + tuple(bnames), tuple(relators))
+    for u, v in identifications:
+        u, v = reduce_word(u), reduce_word(v)
+        _validate_word(u, pa.ngens)
+        _validate_word(v, pb.ngens)
+        relators.append(u + inverse_word(_shift_word(v, offset)))
+    return Presentation(pa.names + tuple(bnames), relators)
 
 
 # -- Todd-Coxeter -------------------------------------------------------

@@ -342,11 +342,14 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
     # torus-lattice
     if mode == "bitri":
         try:
+            glue = scalars.get("glue")
+            if glue not in (None, "G1", "G2"):
+                raise ValueError(f"glue must be G1 or G2, not '{glue}'")
             params = torus.BiTriEllipticParams(
                 d=_int_token(scalars["degphi"]),
                 d_prime=_int_token(scalars["degphiprime"]),
                 case=scalars["case"],
-                glue={"G1": 0, "G2": 1}.get(scalars.get("glue")),
+                glue={"G1": 0, "G2": 1}.get(glue),
             )
             twist = _int_token(meta["twist"]) if "twist" in meta else None
         except (KeyError, ValueError, torus.InvalidParams) as exc:
@@ -447,11 +450,11 @@ def _run_vankampen(payload, checks):
     if src.graph_rank != rank:
         raise ValidationError("spanning-tree rank disagrees with Euler count")
     checks.append(f"double-curve skeleton has graph rank {rank}")
-    hom = vankampen.induced_hom(payload.gluing, src, tgt)
+    images = vankampen.induced_hom(payload.gluing, src, tgt)
     checks.append("glued over a simply connected normalisation")
-    # the amalgam over a trivial normalisation group: pi_1(D) / <<hom(c)^-1>>
-    return fpgroup.quotient_by_normal_closure(
-        tgt.presentation, [fpgroup.inverse_word(w) for w in hom.images]
+    # the amalgam over a trivial normalisation group: pi_1(D) / <<image^-1>>
+    return fpgroup.amalgamated_product(
+        fpgroup.trivial_presentation(), tgt.presentation, [((), w) for w in images]
     )
 
 
@@ -479,9 +482,6 @@ def _run_reducible(payload, checks):
     # compares the degree-2 endomorphism with the identification.
     za = fpgroup.Presentation(("x1", "x2"), ((1, 2, -1, -2),))
     zb = fpgroup.Presentation(("y1", "y2"), ((1, 2, -1, -2),))
-    pc = fpgroup.Presentation(
-        ("c1", "c2", "c3", "c4"), ((1, 2, -1, -2), (3, 4, -3, -4))
-    )
     q, p = payload.endo_q, payload.endo_pi
     if q.rows != 2 or q.cols != 2 or p.rows != 2 or p.cols != 2:
         raise ValidationError("reducible payload needs 2x2 matrices")
@@ -489,10 +489,10 @@ def _run_reducible(payload, checks):
     def column_word(mat, j):
         return fpgroup.power_word(1, mat.at(0, j)) + fpgroup.power_word(2, mat.at(1, j))
 
-    f = fpgroup.GroupHom(pc, za, ((1,), (2,), column_word(q, 0), column_word(q, 1)))
-    g = fpgroup.GroupHom(pc, zb, ((1,), (2,), column_word(p, 0), column_word(p, 1)))
+    pairs = [((1,), (1,)), ((2,), (2,))]
+    pairs += [(column_word(q, j), column_word(p, j)) for j in (0, 1)]
     checks.append(f"bisection endomorphism degree {abs(q.det())}")
-    return fpgroup.amalgamated_product(za, zb, pc, f, g)
+    return fpgroup.amalgamated_product(za, zb, pairs)
 
 
 def _run_cover(payload, checks):

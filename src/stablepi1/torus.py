@@ -26,11 +26,11 @@ from .intlin import (
     IntMatrix,
     RatVector,
     SingularMatrix,
-    _snf_core,
     cokernel_invariants,
     hermite_normal_form,
     membership,
     saturation,
+    smith_normal_form,
     solve_integral,
 )
 
@@ -344,27 +344,21 @@ def eplus_presentation(p: BiTriEllipticParams) -> fpgroup.Presentation:
 
     fbar_coords = IntMatrix._of_rows([in_basis(v) for v in fbar], 4)
     fbar_sat = saturation(fbar_coords)
-    d, _u, v, _rank = _snf_core(fbar_sat.to_rows(), v=True)
-    if tuple(d[i][i] for i in range(min(fbar_sat.rows, fbar_sat.cols))) != (1, 1):
+    snf = smith_normal_form(fbar_sat)
+    if snf.diagonal() != (1, 1):
         raise InvalidParams("curve sublattice failed to saturate")
+    v = snf.v.to_rows()
 
     def q_star(coords):
-        img = [sum(coords[k] * v[k][j] for k in range(4)) for j in range(4)]
-        return (img[2], img[3])
+        return [sum(c * row[j] for c, row in zip(coords, v)) for j in (2, 3)]
+
+    def word(x, y):
+        return fpgroup.power_word(1, x) + fpgroup.power_word(2, y)
 
     pa = fpgroup.Presentation(("a", "b"), ((1, 2, -1, -2),))
     pb = fpgroup.Presentation(("alpha", "beta"), ((1, 2, -1, -2),))
-    pc = fpgroup.Presentation(tuple(f"g{i + 1}" for i in range(len(h1a))), ())
-    f_images = []
-    g_images = []
-    for vec in h1a:
-        p1, p2 = pi_star(vec)
-        q1, q2 = q_star(in_basis(vec))
-        f_images.append(fpgroup.power_word(1, p1) + fpgroup.power_word(2, p2))
-        g_images.append(fpgroup.power_word(1, q1) + fpgroup.power_word(2, q2))
-    f = fpgroup.GroupHom(pc, pa, tuple(f_images))
-    g = fpgroup.GroupHom(pc, pb, tuple(g_images))
-    return fpgroup.amalgamated_product(pa, pb, pc, f, g)
+    pairs = [(word(*pi_star(vec)), word(*q_star(in_basis(vec)))) for vec in h1a]
+    return fpgroup.amalgamated_product(pa, pb, pairs)
 
 
 def theta_fbar_intersection(p: BiTriEllipticParams) -> int:
@@ -397,10 +391,12 @@ def isogeny_cokernel(a: IntMatrix) -> AbelianInvariants:
     """Invariants of Z^n / A Z^n for a nonsingular integer matrix A."""
     if not a.is_square:
         raise ValueError("isogeny matrix must be square")
-    if a.det() == 0:
+    # SNF(A) = SNF(A^T), so the row-span cokernel has the same invariants;
+    # a square A is singular exactly when that cokernel has a free part
+    inv = cokernel_invariants(a, a.cols)
+    if inv.free_rank:
         raise SingularMatrix("isogeny matrix must be nonsingular")
-    # SNF(A) = SNF(A^T), so the row-span cokernel has the same invariants
-    return cokernel_invariants(a, a.cols)
+    return inv
 
 
 def conjugate_into_lattice(linear: IntMatrix, translation: RatVector, lattice_rows: IntMatrix) -> AffineTorusMap:

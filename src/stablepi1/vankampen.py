@@ -6,16 +6,15 @@ vertices and oriented edges) together with the boundary words of its
 spanning tree: non-tree edges are the generators, 2-cell boundaries rewrite
 to the relators.  A GluingMap between complexes induces a homomorphism edge
 by edge, and the group of the glued surface is the amalgamated product of
-the two sides over the double curve.  When the normalisation is simply
-connected, as for every catalogue scenario, that amalgam is pi_1(D) modulo
-the normal closure of the image of pi_1(D-bar), and the scenario runner
-takes this quotient directly; ``fpgroup.amalgamated_product`` builds the
-general pushout.
+the two sides over the double curve.  Every catalogue scenario has a simply
+connected normalisation, so the scenario runner builds that amalgam with
+``fpgroup.amalgamated_product`` from a trivial normalisation side and the
+image words: pi_1(D) modulo the normal closure of the image of pi_1(D-bar).
 """
 
 from __future__ import annotations
 
-from .fpgroup import GroupHom, Presentation, reduce_word
+from .fpgroup import Presentation, reduce_word
 
 
 class DisconnectedComplex(ValueError):
@@ -180,9 +179,9 @@ def path_word(pi1: Pi1Data, path):
     return reduce_word(word)
 
 
-def induced_hom(m: GluingMap, src: Pi1Data, tgt: Pi1Data) -> GroupHom:
-    """Push each source basis loop through the map and rewrite it in the
-    target generators."""
+def induced_hom(m: GluingMap, src: Pi1Data, tgt: Pi1Data) -> tuple:
+    """The image word of each source generator: push its basis loop through
+    the map and rewrite it in the target generators."""
     check_map(m, src.complex, tgt.complex)
     images = []
     for loop in src.loop_basis:
@@ -191,4 +190,4 @@ def induced_hom(m: GluingMap, src: Pi1Data, tgt: Pi1Data) -> GroupHom:
             image, esign = m.edge_map[label]
             mapped.append((image, sign * esign))
         images.append(path_word(tgt, mapped))
-    return GroupHom(src.presentation, tgt.presentation, tuple(images))
+    return tuple(images)

@@ -237,12 +237,10 @@ def test_criterion_5d_edge_permutation_invariance():
             )
             src = vankampen.pi1_presentation(shuffled)
             tgt = vankampen.pi1_presentation(payload.d)
-            hom = vankampen.induced_hom(payload.gluing, src, tgt)
-            trivial = fpgroup.trivial_presentation()
-            to_trivial = fpgroup.GroupHom(
-                src.presentation, trivial, ((),) * src.presentation.ngens
+            images = vankampen.induced_hom(payload.gluing, src, tgt)
+            glued = fpgroup.amalgamated_product(
+                fpgroup.trivial_presentation(), tgt.presentation, [((), w) for w in images]
             )
-            glued = fpgroup.amalgamated_product(trivial, hom.target, hom.source, to_trivial, hom)
             assert fpgroup.todd_coxeter_order(glued) == base.order
             assert fpgroup.abelianization(glued) == base.abelianization
     report("5d", "glued invariants stable under edge permutation and basepoint moves")

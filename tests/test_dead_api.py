@@ -20,7 +20,6 @@ ALLOWED = {
 
 # importer -> module.name of a private name it imports
 ALLOWED_PRIVATE = {
-    "torus -> intlin._snf_core": "eplus_presentation reads V of the Smith form, no U or D",
     "cli -> scenarios._int_token": "the snf command and --max-cosets parse ASCII integers as scenario files do",
 }
 

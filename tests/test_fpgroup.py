@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from stablepi1.fpgroup import (
     CosetLimitExceeded,
-    GroupHom,
     Presentation,
     abelianization,
     amalgamated_product,
     cyclic_given_order,
     cyclic_presentation,
     inverse_word,
-    quotient_by_normal_closure,
     reduce_word,
     todd_coxeter_order,
     trivial_presentation,
@@ -83,20 +81,29 @@ class TestAbelianization:
         assert abelianization(eliminated) == abelianization(p)
 
 
+def quotient(p, words):
+    """p / <<words>>: the amalgam of p with the trivial group over one free
+    generator per word, mapped to the word's inverse."""
+    return amalgamated_product(trivial_presentation(), p, [((), inverse_word(w)) for w in words])
+
+
 class TestQuotient:
     def test_quadruple_point_quotient(self):
         p = Presentation(("A", "B", "F", "G"), [(4, 3, 2, 1)])
-        q = quotient_by_normal_closure(p, [(-2, 1), (4, -1), (4, 4, 2, 2)])
+        words = [(-2, 1), (4, -1), (4, 4, 2, 2)]
+        q = quotient(p, words)
+        # u v^-1 with u trivial and v = w^-1 is w itself: the words are appended
+        assert q == Presentation(p.names, p.relators + tuple(words))
         inv = abelianization(q)
         assert inv.torsion == (4,) and inv.free_rank == 0
         assert todd_coxeter_order(q) == 4
 
     def test_empty_closure(self):
         p = Presentation(("x",), [(1, 1, 1)])
-        assert quotient_by_normal_closure(p, []) == p
+        assert quotient(p, []) == p
 
     def test_cyclic_five(self):
-        q = quotient_by_normal_closure(Presentation(("x",), []), [(1,) * 5])
+        q = quotient(Presentation(("x",), []), [(1,) * 5])
         assert todd_coxeter_order(q) == 5
 
 
@@ -145,8 +152,8 @@ class TestToddCoxeter:
         # G^4 is trivial in <G | G^4>, G^2 is not
         p = Presentation(("G",), [(1, 1, 1, 1)])
         order = todd_coxeter_order(p)
-        assert todd_coxeter_order(quotient_by_normal_closure(p, [(1,) * 4])) == order
-        assert todd_coxeter_order(quotient_by_normal_closure(p, [(1, 1)])) != order
+        assert todd_coxeter_order(quotient(p, [(1,) * 4])) == order
+        assert todd_coxeter_order(quotient(p, [(1, 1)])) != order
 
     def test_tight_limit_on_finite_group(self):
         # the enumeration may overshoot |G| before collapsing, so a limit
@@ -177,10 +184,8 @@ class TestAmalgam:
     def test_free_product_of_cyclics(self):
         pa = Presentation(("x",), [(1, 1)])
         pb = Presentation(("y",), [(1, 1, 1)])
-        pc = trivial_presentation()
-        f = GroupHom(pc, pa, ())
-        g = GroupHom(pc, pb, ())
-        prod = amalgamated_product(pa, pb, pc, f, g)
+        prod = amalgamated_product(pa, pb, [])
+        assert prod.relators == ((1, 1), (2, 2, 2))
         inv = abelianization(prod)
         assert inv.free_rank == 0 and inv.torsion == (6,)
         # the free product itself is infinite (the modular group)
@@ -189,23 +194,24 @@ class TestAmalgam:
 
     def test_trivial_a_side_is_normal_closure_quotient(self):
         pb = Presentation(("A", "B", "F", "G"), [(4, 3, 2, 1)])
-        pc = Presentation(("c1", "c2", "c3"), [])
         images = ((-2, 1), (4, -1), (4, 4, 2, 2))
-        g = GroupHom(pc, pb, images)
-        f = GroupHom(pc, trivial_presentation(), ((), (), ()))
-        amalgam = amalgamated_product(trivial_presentation(), pb, pc, f, g)
-        direct = quotient_by_normal_closure(pb, images)
+        amalgam = amalgamated_product(trivial_presentation(), pb, [((), w) for w in images])
+        direct = Presentation(pb.names, pb.relators + images)
         assert abelianization(amalgam) == abelianization(direct)
         assert todd_coxeter_order(amalgam) == todd_coxeter_order(direct)
+
+    def test_identification_relator_is_u_times_v_inverse(self):
+        pa = Presentation(("x",), [(1, 1, 1, 1)])
+        pb = Presentation(("y", "z"), [(1, 2, -1, -2)])
+        prod = amalgamated_product(pa, pb, [((1, 1), (1, 2))])
+        assert prod.names == ("x", "y", "z")
+        # pb's letters shift past pa's one generator: x x (y z)^-1 = x x z^-1 y^-1
+        assert prod.relators == ((1, 1, 1, 1), (2, 3, -2, -3), (1, 1, -3, -2))
 
     def test_name_collision_resolved(self):
         pa = Presentation(("x",), [])
         pb = Presentation(("x",), [])
-        prod = amalgamated_product(
-            pa, pb, trivial_presentation(),
-            GroupHom(trivial_presentation(), pa, ()),
-            GroupHom(trivial_presentation(), pb, ()),
-        )
+        prod = amalgamated_product(pa, pb, [])
         assert len(set(prod.names)) == 2
 
 

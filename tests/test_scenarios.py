@@ -136,6 +136,25 @@ class TestLoad:
         with pytest.raises(ValidationError, match="twist"):
             load_scenario(bad)
 
+    @pytest.mark.parametrize(
+        "name, old, new, token",
+        [
+            ("E1", "case odd\n", "case odd\nglue G7\n", "G7"),
+            ("E2", "glue G1", "glue g1", "g1"),
+        ],
+    )
+    def test_bad_glue_token_is_refused_at_load(self, tmp_path, name, old, new, token):
+        # only G1 and G2 name a glue subgroup; any other token is an error,
+        # in the odd case too, where a valid one would also be refused
+        text = (bundled_catalogue_dir() / f"{name}.scn").read_text()
+        assert old in text
+        (tmp_path / f"{name}.scn").write_text(text.replace(old, new))
+        with pytest.raises(ValidationError, match=f"glue must be G1 or G2, not '{token}'"):
+            load_scenario(tmp_path / f"{name}.scn")
+        reports, summary = verify_catalogue(tmp_path)
+        assert summary == {"total": 1, "passed": 0, "all_pass": False}
+        assert f"'{token}'" in reports[0].error
+
 
 class TestRun:
     def test_interleaved_lines_order_five(self):

@@ -314,6 +314,28 @@ class TestGlueSubgroups:
             enumerate_glue_subgroups(BiTriEllipticParams(1, 5, "odd"))
 
 
+# Pinned presentation strings, one per admissible parameter set; the two G2
+# cases are in no catalogue file, so no golden report pins them.
+EPLUS_PRESENTATIONS = {
+    (1, 5, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha, b b beta beta beta beta beta, alpha^-1, beta^-1, a, b >",
+    (3, 3, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha, b b beta beta beta, alpha^-1 alpha^-1 alpha^-1, beta^-1, a a a, b >",
+    (5, 1, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha^-1, b b beta, alpha alpha alpha alpha alpha, beta^-1, a a a a a, b >",
+    (2, 1, "even", 0): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha alpha, b b beta, alpha^-1 alpha^-1 alpha^-1 alpha^-1, beta^-1, b, a alpha^-1 >",
+    (2, 1, "even", 1): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a beta^-1 alpha alpha, b b beta, beta beta alpha^-1 alpha^-1 alpha^-1 alpha^-1,"
+    " beta^-1, b, a b beta alpha^-1 >",
+    (1, 2, "even", 0): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha^-1 alpha^-1 alpha^-1 alpha^-1, b b beta, alpha alpha, beta^-1, b, a alpha^-1 >",
+    (1, 2, "even", 1): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a beta beta alpha^-1 alpha^-1 alpha^-1 alpha^-1, b b beta, beta^-1 alpha alpha,"
+    " beta^-1, b, a b beta alpha^-1 >",
+}
+
+
 class TestEplusPresentation:
     @pytest.mark.parametrize(
         "params, order, torsion",
@@ -329,6 +351,8 @@ class TestEplusPresentation:
     )
     def test_expected_groups(self, params, order, torsion):
         pres = eplus_presentation(params)
+        key = (params.d, params.d_prime, params.case, params.glue)
+        assert pres.describe() == EPLUS_PRESENTATIONS[key]
         inv = fpgroup.abelianization(pres)
         assert inv.free_rank == 0 and inv.torsion == torsion
         assert fpgroup.todd_coxeter_order(pres) == order

@@ -128,8 +128,8 @@ class TestInducedHom:
             vertex_map={v: v for v in c.vertices},
             edge_map={label: (label, 1) for (label, _s, _t) in c.edges},
         )
-        hom = induced_hom(ident, data, data)
-        assert hom.images == tuple((i + 1,) for i in range(data.presentation.ngens))
+        images = induced_hom(ident, data, data)
+        assert images == tuple((i + 1,) for i in range(data.presentation.ngens))
 
     def test_two_conics_loop_image(self):
         # the path a2 then b1^-1 is a loop at the basepoint; folding the two
@@ -211,32 +211,30 @@ class TestInducedHom:
         assert fpgroup.reduce_word(tuple(expanded)) == edge_letters(mapped)
 
 
-class TestGlue:
-    def glue(self, dbar, d, gmap):
-        src = pi1_presentation(dbar)
-        tgt = pi1_presentation(d)
-        hom = induced_hom(gmap, src, tgt)
-        trivial = fpgroup.trivial_presentation()
-        to_trivial = fpgroup.GroupHom(
-            src.presentation, trivial, ((),) * src.presentation.ngens
-        )
-        return fpgroup.amalgamated_product(trivial, hom.target, hom.source, to_trivial, hom)
+def glue(dbar, d, gmap):
+    """The runner's route: the amalgam over a simply connected normalisation."""
+    src = pi1_presentation(dbar)
+    tgt = pi1_presentation(d)
+    images = induced_hom(gmap, src, tgt)
+    return fpgroup.amalgamated_product(
+        fpgroup.trivial_presentation(), tgt.presentation, [((), w) for w in images]
+    )
 
+
+class TestGlue:
     def test_two_conics_gives_order_four(self):
-        glued = self.glue(two_conics_complex(), wedge_complex(), folding_map())
+        glued = glue(two_conics_complex(), wedge_complex(), folding_map())
         assert fpgroup.todd_coxeter_order(glued) == 4
         assert fpgroup.cyclic_given_order(4, fpgroup.abelianization(glued))
 
-    def test_mismatched_sources_rejected(self):
-        src = pi1_presentation(two_conics_complex())
-        other = fpgroup.Presentation(("z",), ())
+    def test_word_outside_its_side_rejected(self):
+        tgt = pi1_presentation(wedge_complex()).presentation
         trivial = fpgroup.trivial_presentation()
-        to_trivial = fpgroup.GroupHom(other, trivial, ((),))
-        hom = induced_hom(
-            folding_map(), src, pi1_presentation(wedge_complex())
-        )
+        # u must be a word in the trivial side, v one in pi_1 of the wedge
         with pytest.raises(ValueError):
-            fpgroup.amalgamated_product(trivial, hom.target, hom.source, to_trivial, hom)
+            fpgroup.amalgamated_product(trivial, tgt, [((1,), ())])
+        with pytest.raises(ValueError):
+            fpgroup.amalgamated_product(trivial, tgt, [((), (tgt.ngens + 1,))])
 
 
 def test_invariants_stable_under_edge_permutation():
@@ -250,14 +248,7 @@ def test_invariants_stable_under_edge_permutation():
     gmap = folding_map()
 
     def invariants(dbar):
-        src = pi1_presentation(dbar)
-        tgt = pi1_presentation(wedge)
-        hom = induced_hom(gmap, src, tgt)
-        trivial = fpgroup.trivial_presentation()
-        to_trivial = fpgroup.GroupHom(
-            src.presentation, trivial, ((),) * src.presentation.ngens
-        )
-        glued = fpgroup.amalgamated_product(trivial, hom.target, hom.source, to_trivial, hom)
+        glued = glue(dbar, wedge, gmap)
         return fpgroup.todd_coxeter_order(glued), fpgroup.abelianization(glued)
 
     assert invariants(base) == invariants(permuted)
