@@ -7,13 +7,23 @@ Pivot selection is pinned (smallest absolute value, ties broken by row then
 column order) so every result is reproducible bit for bit.
 
 Every Smith form comes from one kernel, ``_snf_core``, which accumulates only
-the transforms its caller reads; the pivot sequence, and so every result,
-is the same whichever it builds:
+the transforms its caller reads, and can start U from given rows instead of
+the identity; the pivot sequence, and so every result, is the same whichever
+it builds.  Every Smith form but ``membership``'s, transforms included, is
+the Smith form of the Hermite rows H of the input, not of the raw matrix:
 
-- ``cokernel_invariants``: the Smith diagonal of the Hermite rows, no
-  transform;
-- ``smith_normal_form``: U and V;
-- ``membership`` and ``saturation``: U only.
+- ``cokernel_invariants``: the Smith diagonal of H, no transform;
+- ``smith_normal_form``: U and V.  The Hermite step carries U1 with U1*A = H
+  (each input row is followed by its row of the identity), and the kernel
+  starts U from U1, so it returns U2*U1 with no matrix product;
+- ``saturation``: U only, on H;
+- ``membership`` is the one caller that runs the kernel on the raw matrix
+  (U only): its inputs are a few rows wide, where the Hermite-then-Smith
+  route measured slower.
+
+When H already is a Smith form (row i is d_i times the i-th unit vector,
+each d_i dividing the next) the kernel would change nothing, so
+``cokernel_invariants`` and ``smith_normal_form`` do not run it.
 
 Every Hermite form comes from ``_hermite_rows``, which inserts the rows one
 at a time into a basis kept in Hermite form (Kannan and Bachem, SIAM J.
@@ -24,9 +34,12 @@ pivot and carries the remainder row on.  A row that reaches a column with no
 pivot joins the basis there.  Before the next row comes in, every row the
 insertion changed is reduced by the rows below it, and the rows above by
 it, so entries stay near the size of the final form's; eliminating one
-column at a time across all rows lets them grow to hundreds of bits first.
-The Hermite rows span the same lattice as the input with far smaller
-entries, so ``cokernel_invariants`` runs the Smith kernel on them.
+column at a time across all rows lets them grow to hundreds of bits first
+(Havas, Majewski and Matthews, Experimental Math. 7, 1998).  The Hermite
+rows span the same lattice as the input with far smaller entries, so the
+Smith kernel runs on them, and U and V stay near their size too.  A basis
+row with few nonzero entries past its pivot is subtracted entry by entry
+over those columns only, so sparse input does not pay for its zeros.
 
 While it is built, V is held as a list of its columns, so a column operation
 is one list comprehension; it is returned by rows.  A column operation on the
@@ -53,7 +66,7 @@ those of a scaled integer vector; no ``Fraction`` is built anywhere.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
 from operator import mul
 
@@ -348,12 +361,14 @@ def _snf_core(rows_in, *, u=False, v=False):
     """Smith form on a list of rows; returns (m, u, v, rank).
 
     Only the transforms asked for are built; the others come back as None.
+    ``u`` is True for U itself or a list of starting rows, one per row of
+    ``rows_in``: the row operations act on those, so U times them comes back.
     V is built as a list of its columns and transposed at the end.
     """
     r = len(rows_in)
     c = len(rows_in[0]) if r else 0
     m = [list(row) for row in rows_in]
-    u_rows = _identity_rows(r) if u else None
+    u_rows = _identity_rows(r) if u is True else None if u is False else list(u)
     vcols = _identity_rows(c) if v else None
     t = 0
     while t < min(r, c):
@@ -435,13 +450,47 @@ def _snf_core(rows_in, *, u=False, v=False):
     return m, u_rows, vcols, t
 
 
+def _smith_diagonal(h):
+    """The diagonal of Hermite rows that already are a Smith form, else None.
+
+    Row i must be d_i times the i-th unit vector, each d_i dividing the
+    next; ``_snf_core`` would leave such rows as they are.
+    """
+    diag = []
+    prev = 1
+    for i, row in enumerate(h):
+        d = row[i]
+        if not d or d % prev or any(row[i + 1 :]):
+            return None
+        diag.append(d)
+        prev = d
+    return diag
+
+
 def smith_normal_form(a: IntMatrix) -> SnfResult:
-    """Compute U*A*V = D with diagonal D, d_i >= 0 and d_i | d_{i+1}."""
-    m, u, v, _rank = _snf_core(a.to_rows(), u=True, v=True)
+    """Compute U*A*V = D with diagonal D, d_i >= 0 and d_i | d_{i+1}.
+
+    Each row of A, followed by its row of the identity, is inserted into a
+    Hermite basis whose pivots lie in A's columns, so the basis rows read
+    [H | U1] with U1*A = H, and a row that reduces to zero there is a row of
+    U in the kernel of A.  The Smith kernel runs on H with U1 as its starting
+    rows, so its row operations build U2*U1 directly; U and V keep entries
+    near the size of H's instead of growing with the raw matrix's.
+    """
+    r, c = a.rows, a.cols
+    aug = [row + [0] * i + [1] for i, row in enumerate(a.to_rows())]
+    basis, kernel = _hermite_rows(aug, c)
+    h = [row[:c] for row in basis]
+    u1 = [row[c:] for row in basis]
+    if _smith_diagonal(h) is None:
+        m, u, v, _rank = _snf_core(h, u=u1, v=True)
+        v = IntMatrix._of_rows(v, c)
+    else:
+        m, u, v = h, u1, IntMatrix.identity(c)
     return SnfResult(
-        IntMatrix._of_rows(m, a.cols),
-        IntMatrix._of_rows(u, a.rows),
-        IntMatrix._of_rows(v, a.cols),
+        IntMatrix._trusted(r, c, tuple(chain.from_iterable(m)) + (0,) * (c * len(kernel))),
+        IntMatrix._of_rows(u + [row[c:] + [0] * (c + r - len(row)) for row in kernel], r),
+        v,
     )
 
 
@@ -450,22 +499,51 @@ def cokernel_invariants(a: IntMatrix, ambient_rank: int) -> AbelianInvariants:
     diagonal of the Hermite rows of ``a``, which span the same lattice."""
     if a.cols != ambient_rank:
         raise ValueError("rows of a must live in Z^ambient_rank")
-    m, _u, _v, rank = _snf_core(_hermite_rows(a.to_rows()))
-    diag = [m[i][i] for i in range(rank)]
-    return AbelianInvariants(ambient_rank - rank, tuple(d for d in diag if d > 1))
+    h, _kernel = _hermite_rows(a.to_rows(), a.cols)
+    diag = _smith_diagonal(h)
+    if diag is None:
+        m, _u, _v, rank = _snf_core(h)
+        diag = [m[i][i] for i in range(rank)]
+    return AbelianInvariants(ambient_rank - len(diag), tuple(d for d in diag if d > 1))
 
 
-def _hermite_rows(rows):
-    """Rows of the Hermite form of the row span of ``rows``, by row insertion.
+def _sparse_columns(row, p):
+    """Columns from ``p`` on where ``row`` is nonzero, or False when a
+    whole-row update is cheaper: they are more than a third of them, or
+    there are fewer than 16 columns to look at."""
+    width = len(row) - p
+    if width < 16:
+        return False
+    cols = list(compress(range(p, len(row)), row[p:]))
+    return False if 3 * len(cols) > width else cols
 
-    Each row is reduced against the basis, pivot column by pivot column, and
-    the basis is reduced again before the next row comes in.  ``rows`` is a
-    list of lists that the kernel owns: it changes them in place.
+
+def _hermite_rows(rows, width):
+    """Hermite form of the row span of ``rows``, by row insertion; returns
+    (basis, kernel).
+
+    Pivots are sought in the first ``width`` columns only; the row
+    operations act on whole rows, so columns past ``width`` follow along.
+    Rows come in nondecreasing length; one longer than the basis rows pads
+    them with zeros.  Each row is reduced against the basis, pivot column by
+    pivot column, and the basis is reduced again before the next row comes
+    in.  A row that becomes zero in the first ``width`` columns goes to
+    ``kernel``.  ``rows`` is a list of lists that the kernel owns: it
+    changes them in place.
     """
     basis = []  # the Hermite rows, in pivot order
     pivots = []  # pivot column of each basis row
+    # _sparse_columns of each basis row, None until it is first subtracted;
+    # a row subtracted column by column is one with few nonzeros
+    sparse = []
+    kernel = []
+    size = 0  # length of the basis rows
     for v in rows:
-        width = len(v)
+        if len(v) > size:
+            pad = [0] * (len(v) - size)
+            size = len(v)
+            for h in basis:
+                h += pad
         n = len(basis)
         changed = []  # positions of the basis rows this row changed, ascending
         i = p = 0
@@ -473,6 +551,7 @@ def _hermite_rows(rows):
             while p < width and not v[p]:
                 p += 1
             if p == width:
+                kernel.append(v)
                 break
             while i < n and pivots[i] < p:
                 i += 1
@@ -482,6 +561,7 @@ def _hermite_rows(rows):
                     v = [-x for x in v]
                 basis.insert(i, v)
                 pivots.insert(i, p)
+                sparse.insert(i, None)
                 changed.append(i)
                 n += 1
                 break
@@ -500,9 +580,18 @@ def _hermite_rows(rows):
                 vs = v[p:]
                 basis[i] = h[:p] + [s * x + t * y for x, y in zip(hs, vs)]
                 v[p:] = [a * y - b * x for x, y in zip(hs, vs)]
+                if sparse[i]:
+                    sparse[i] = None
                 changed.append(i)
             else:
-                v[p:] = [y - q * x for x, y in zip(h[p:], v[p:])]
+                cols = sparse[i]
+                if cols is None:
+                    cols = sparse[i] = _sparse_columns(h, p)
+                if cols:
+                    for j in cols:
+                        v[j] -= q * h[j]
+                else:
+                    v[p:] = [y - q * x for x, y in zip(h[p:], v[p:])]
             i += 1
             p += 1
         if not changed:
@@ -527,8 +616,17 @@ def _hermite_rows(rows):
                 row = basis[j]
                 q = h[pj] // row[pj]
                 if q:
-                    h[pj:] = [x - q * y for x, y in zip(h[pj:], row[pj:])]
-    return basis
+                    cols = sparse[j]
+                    if cols is None:
+                        cols = sparse[j] = _sparse_columns(row, pj)
+                    if cols:
+                        for x in cols:
+                            h[x] -= q * row[x]
+                    else:
+                        h[pj:] = [x - q * y for x, y in zip(h[pj:], row[pj:])]
+                    if sparse[k]:
+                        sparse[k] = None
+    return basis, kernel
 
 
 def hermite_normal_form(a: IntMatrix) -> IntMatrix:
@@ -539,7 +637,7 @@ def hermite_normal_form(a: IntMatrix) -> IntMatrix:
     The form of a lattice is unique: it does not depend on the order of the
     rows or on the basis they are given in.
     """
-    return IntMatrix._of_rows(_hermite_rows(a.to_rows()), a.cols)
+    return IntMatrix._of_rows(_hermite_rows(a.to_rows(), a.cols)[0], a.cols)
 
 
 def solve_integral(basis: IntMatrix, target) -> "list[int] | None":
@@ -602,10 +700,15 @@ def membership(t: RatVector, a: IntMatrix) -> bool:
 def saturation(a: IntMatrix) -> IntMatrix:
     """Basis of { v : k*v in rowspan(a) for some k >= 1 }, in Hermite form.
 
-    With U*A*V = D, U*A = D*V^-1: row i < rank of U*A is d_i times row i of
-    V^-1, and those rows of V^-1 span the saturation.
+    With H the Hermite rows of ``a`` and U*H*V = D, U*H = D*V^-1: row i of
+    U*H is d_i times row i of V^-1, and those rows of V^-1 span the
+    saturation.
     """
-    m, u, _v, rank = _snf_core(a.to_rows(), u=True)
-    cols = [a.entries[j :: a.cols] for j in range(a.cols)]
+    h, _kernel = _hermite_rows(a.to_rows(), a.cols)
+    m, u, _v, rank = _snf_core(h, u=True)
+    if all(m[i][i] == 1 for i in range(rank)):
+        # every d_i is 1: the lattice is its own saturation
+        return IntMatrix._of_rows(h, a.cols)
+    cols = list(zip(*h))
     rows = [[sum(map(mul, u[i], col)) // m[i][i] for col in cols] for i in range(rank)]
     return hermite_normal_form(IntMatrix._of_rows(rows, a.cols))

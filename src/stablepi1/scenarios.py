@@ -345,6 +345,8 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
             glue = scalars.get("glue")
             if glue not in (None, "G1", "G2"):
                 raise ValueError(f"glue must be G1 or G2, not '{glue}'")
+            if glue is None and scalars.get("case") == "even":
+                raise ValueError("the even case needs a glue line (G1 or G2)")
             params = torus.BiTriEllipticParams(
                 d=_int_token(scalars["degphi"]),
                 d_prime=_int_token(scalars["degphiprime"]),

@@ -294,6 +294,27 @@ def test_a_file_not_named_after_its_id_is_refused(capsys, tmp_path):
     assert code == 0
 
 
+def test_even_bitri_file_without_glue_is_refused_at_load(capsys, tmp_path):
+    # the even case names its glue subgroup; without the line the file used
+    # to load and list, and failed only when verify-all ran it
+    _catalogue_with(tmp_path, "E2", "R3")
+    e2 = tmp_path / "E2.scn"
+    text = e2.read_text()
+    assert "glue G1\n" in text
+    e2.write_text(text.replace("glue G1\n", ""))
+    message = f"{e2}: bad bi-tri-elliptic parameters: the even case needs a glue line (G1 or G2)"
+    where = ["--catalogue-dir", str(tmp_path)]
+    code, out, err = run_cli(capsys, ["list", *where])
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    code, out, _err = run_cli(capsys, ["verify-all", "--format", "json", *where])
+    assert code == 1
+    reports = {r["scenario"]: r for r in json.loads(out)["reports"]}
+    assert reports["R3"]["verdict"] == "pass"
+    assert reports["E2"]["verdict"] == "fail"
+    assert reports["E2"]["error"] == f"ValidationError: {message}"
+
+
 @pytest.mark.parametrize("sid", ["sub/R3", "../catalogue/R3", "R3/", ""])
 def test_run_id_must_be_a_plain_file_name(capsys, tmp_path, sid):
     _catalogue_with(tmp_path, "R3")

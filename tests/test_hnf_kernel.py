@@ -5,7 +5,8 @@ in Hermite form.  The Hermite form of a lattice is unique, so against the
 column-Euclid kernel it replaced (``tests/reference_hnf.py``) it must return
 the same matrix, bit for bit, on every seeded input: the Smith-kernel
 corpus, planted dense, rank-deficient and sparse matrices up to 20 x 20,
-entries up to 10^6 in absolute value, and empty and all-zero shapes.
+sparse ones up to 45 x 45, entries up to 10^6 in absolute value, and empty
+and all-zero shapes.
 ``cokernel_invariants`` reads the Smith diagonal of the Hermite rows; it
 must match the diagonal the reference Smith kernel gives on the input
 itself.  Row permutations and unimodular row operations leave the lattice,
@@ -49,6 +50,10 @@ def hnf_corpus():
     for _ in range(30):
         r, c = rng.randint(1, 8), rng.randint(1, 8)
         cases.append(("large entries", random_rows(rng, r, c, -10**6, 10**6), c))
+    # wide enough that mostly-zero basis rows are updated column by column
+    for _ in range(20):
+        r, c = rng.randint(20, 45), rng.randint(20, 45)
+        cases.append(("wide sparse", sparse(rng, r, c), c))
     return cases
 
 
@@ -59,7 +64,7 @@ def test_corpus_covers_every_shape():
     assert len(HNF_CORPUS) >= 440
     assert {label for label, _rows, _cols in HNF_CORPUS} >= {
         "empty", "0x5", "4x0", "zero 3x4", "planted dense", "rank-deficient", "sparse",
-        "large entries",
+        "large entries", "wide sparse",
     }
     assert max(len(rows) for label, rows, _cols in HNF_CORPUS if label == "planted dense") == 20
 

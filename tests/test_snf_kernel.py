@@ -1,16 +1,20 @@
 """Differential tests of the Smith-form kernel.
 
 ``intlin._snf_core`` builds only the transforms it is asked for (U, V or
-both).  Against the kernel it replaced (``tests/reference_snf.py``, which
-always builds U, V and V^-1) it must return the same diagonal form, rank and
-requested transforms, bit for bit, for every choice of transforms.
+both), and U may start from given rows instead of the identity.  Against the
+kernel it replaced (``tests/reference_snf.py``, which always builds U, V and
+V^-1) it must return the same diagonal form, rank and requested transforms,
+bit for bit, for every choice of transforms, and U times the starting rows.
 ``saturation`` reads U only; it must equal the Hermite form of the first
-rank rows of the reference kernel's V^-1.  The public results are also
-compared with sympy's Smith form over ZZ when sympy is installed.
+rank rows of the reference kernel's V^-1.  ``smith_normal_form`` runs the
+kernel on the Hermite rows, so its U and V stay small on dense input.  The
+public results are also compared with sympy's Smith form over ZZ when sympy
+is installed.
 """
 
 import io
 import itertools
+import json
 import random
 import sys
 import time
@@ -130,6 +134,19 @@ def test_every_accumulator_subset_matches_reference(index):
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))
+def test_seeded_u_is_reference_u_times_seed(index):
+    label, rows = CORPUS[index]
+    rng = random.Random(index)
+    seed = random_rows(rng, len(rows), len(rows) + 2, -3, 3)
+    want_m, want_u, want_v, _vinv, want_rank = reference_snf_core(rows)
+    for v in (False, True):
+        m, u, got_v, rank = intlin._snf_core(rows, u=seed, v=v)
+        assert (m, rank) == (want_m, want_rank), label
+        assert u == matmul(want_u, seed), label
+        assert got_v == (want_v if v else None), label
+
+
+@pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_saturation_matches_reference_vinv(index):
     label, rows = CORPUS[index]
     a = IntMatrix.from_rows(rows, cols=len(rows[0]) if rows else 0)
@@ -144,10 +161,13 @@ def test_input_rows_are_not_modified():
     assert rows == [[4, 6], [6, 9], [2, -3]]
 
 
-def reference_without_vinv(rows_in, **_):
-    """The reference kernel in place of ``_snf_core``: U and V always built."""
-    m, u, v, _vinv, rank = reference_snf_core(rows_in)
-    return m, u, v, rank
+def reference_without_vinv(rows_in, *, u=False, v=False):
+    """The reference kernel in place of ``_snf_core``: U and V always built,
+    and U applied to the starting rows when ``u`` holds some."""
+    m, ref_u, ref_v, _vinv, rank = reference_snf_core(rows_in)
+    if u is not True and u is not False:
+        ref_u = matmul(ref_u, u)
+    return m, ref_u, ref_v, rank
 
 
 def snf_cli(monkeypatch, capsys, text, fmt):
@@ -165,6 +185,78 @@ def test_snf_cli_output_matches_reference_kernel(monkeypatch, capsys, fmt):
             patch.setattr(intlin, "_snf_core", reference_without_vinv)
             want = snf_cli(patch, capsys, text, fmt)
         assert snf_cli(monkeypatch, capsys, text, fmt) == want
+
+
+def dense_planted(rng, n, diag):
+    """L D R with L, R unit triangular, entries in {-1, 0, 1}, rows shuffled."""
+    def unit_triangular(lower):
+        return [
+            [1 if i == j else rng.choice((-1, 0, 1)) if (j < i if lower else j > i) else 0
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    ld = [[x * d for x, d in zip(row, diag)] for row in unit_triangular(True)]
+    rows = matmul(ld, unit_triangular(False))
+    rng.shuffle(rows)
+    return rows
+
+
+def transform_inputs():
+    """A planted dense 40 x 40 matrix, on which the raw kernel's U and V
+    reached hundreds of bits, and sparse ones wide enough that mostly zero
+    basis rows are updated column by column in the Hermite step."""
+    rng = random.Random(40)
+    cases = [("dense 40x40", dense_planted(rng, 40, [1] * 38 + [2, 6]))]
+    for _ in range(8):
+        r, c = rng.randint(20, 40), rng.randint(20, 40)
+        rows = [[int(i == j) for j in range(c)] for i in range(r)]
+        for _ in range(r + c):
+            rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((-2, -1, 1, 2, 3))
+        cases.append(("sparse", rows))
+    return cases
+
+
+@pytest.mark.parametrize("label, rows", transform_inputs())
+def test_transforms_are_exact_and_small(label, rows):
+    a = IntMatrix.from_rows(rows)
+    res = smith_normal_form(a)
+    assert res.d == IntMatrix.from_rows(reference_snf_core(rows)[0]), label
+    assert res.u.mul(a).mul(res.v) == res.d, label
+    bits = max(abs(x).bit_length() for x in res.u.entries + res.v.entries)
+    assert bits <= 128, (label, bits)
+    assert abs(res.u.det()) == 1 and abs(res.v.det()) == 1, label
+
+
+HERMITE_INPUTS = [
+    # saturated fbar coordinates of E1 and E5: what eplus_presentation passes
+    (
+        [[1, 0, 0, 0], [0, 1, 0, 2]],
+        {
+            "d": [[1, 0, 0, 0], [0, 1, 0, 0]],
+            "u": [[1, 0], [0, 1]],
+            "v": [[1, 0, 0, 0], [0, 1, 0, -2], [0, 0, 1, 0], [0, 0, 0, 1]],
+            "diagonal": [1, 1],
+        },
+    ),
+    (
+        [[5, 0, -2, 0], [0, 1, 0, 0]],
+        {
+            "d": [[1, 0, 0, 0], [0, 1, 0, 0]],
+            "u": [[0, 1], [-1, 0]],
+            "v": [[0, 1, -2, 0], [1, 0, 0, 0], [0, 3, -5, 0], [0, 0, 0, 1]],
+            "diagonal": [1, 1],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("rows, want", HERMITE_INPUTS)
+def test_snf_of_a_hermite_matrix_keeps_its_transforms(monkeypatch, capsys, rows, want):
+    # inserting the rows of a Hermite form changes nothing, so U and V are
+    # those of the kernel on the matrix itself
+    text = "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"
+    assert json.loads(snf_cli(monkeypatch, capsys, text, "json")) == want
 
 
 def oracle_matrices():
