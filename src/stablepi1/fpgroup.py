@@ -11,7 +11,10 @@ tables are reproducible.
 
 The coset table is stored by column, one flat ``list[int]`` per generator
 and per inverse, indexed by coset number; cosets are numbered from 1 and 0
-marks an undefined entry.  Coincidence processing leaves no live entry
+marks an undefined entry.  An involution, a generator g with a relator g^2,
+has one column for g and g^-1 alike, and the relators are rewritten over g
+modulo g^2 = 1, as ACE does: HLT then defines about half the cosets on the
+Coxeter and (2,3,7;k) groups.  Coincidence processing leaves no live entry
 pointing at a dead coset, so everything outside it follows entries
 directly, without union-find.
 
@@ -196,9 +199,20 @@ def amalgamated_product(pa, pb, identifications) -> Presentation:
 # -- Todd-Coxeter -------------------------------------------------------
 
 
-def _column(letter):
-    idx = abs(letter) - 1
-    return 2 * idx + (0 if letter > 0 else 1)
+def _reduce_mod_involutions(word, involutions):
+    """``word`` with g^-1 written g for every involution g, then freely and
+    cyclically reduced modulo g^2 = 1: g g cancels, as x x^-1 does."""
+    out = []
+    for x in word:
+        if -x in involutions:
+            x = -x
+        if out and out[-1] == (x if x in involutions else -x):
+            out.pop()
+        else:
+            out.append(x)
+    while len(out) >= 2 and out[0] == (out[-1] if out[-1] in involutions else -out[-1]):
+        out = out[1:-1]
+    return out
 
 
 _INITIAL_ROWS = 16
@@ -209,15 +223,25 @@ class _CosetTable:
 
     Cosets are numbered from 1 (the subgroup itself) and 0 means undefined.
     The table is stored by column: ``cols[c][k]`` is the image of coset k
-    under column c, where column 2i is generator i and 2i + 1 its inverse.
-    Columns grow by half and are only ever changed in place, so the
-    column lists bound to each relator at construction stay valid.
+    under column c.  Each generator has a column, followed by one for its
+    inverse, except an involution: a generator g with a relator g^2 (or
+    g^-2).  g and g^-1 share its one column, which is its own inverse in
+    ``pairs``; g^2 is dropped and the other relators are rewritten over g
+    alone, freely and cyclically reduced modulo g^2 = 1, and dropped when
+    that empties them (Havas and Ramsay, ACE 3, 1999).  Defining a coset
+    through that column defines its inverse entry too, so the enumeration
+    skips the cosets the g^2 scans would define and then merge.  Every
+    write sets an entry and its inverse entry through a pair, so a shared
+    column stays its own inverse and nothing else needs to know of it.
+    Columns grow by half and are only ever changed in place, so the column
+    lists bound to each relator at construction stay valid.
 
     Invariant between public calls: no live entry points at a dead coset.
     ``_coincidence`` restores it before it returns and a scan returns right
     after a coincidence, so scans and compaction follow entries
     directly; union-find (``p``) is consulted only inside ``_coincidence``.
-    Chain fill needs relators freely reduced, as ``Presentation`` keeps them.
+    Chain fill needs relators freely reduced, as ``Presentation`` keeps them,
+    and modulo g^2 = 1: over a shared column, g g reads as g g^-1.
     ``flags``: a ``bytearray`` per relator x^m, m >= 3.  Invariant: a flag on
     a live coset means that relator closes there.  Flags go on the live
     cosets of a closed trace, which stays closed under coincidences (edges
@@ -228,14 +252,25 @@ class _CosetTable:
 
     def __init__(self, ngens, relators, max_cosets):
         self.max = max_cosets
+        involutions = {abs(w[0]) for w in relators if len(w) == 2 and w[0] == w[1]}
+        if involutions:  # the rewrite would re-walk every relator for nothing
+            relators = [
+                w for w in (_reduce_mod_involutions(w, involutions) for w in relators) if w
+            ]
         self.cols = []
         self.pairs = []  # (column, inverse column) in column order
         column = {}  # letter -> its column
         for g in range(1, ngens + 1):
-            c, c_inv = [0] * _INITIAL_ROWS, [0] * _INITIAL_ROWS
-            self.cols += (c, c_inv)
-            self.pairs += ((c, c_inv), (c_inv, c))
-            column[g], column[-g] = c, c_inv
+            c = [0] * _INITIAL_ROWS
+            if g in involutions:
+                self.cols.append(c)
+                self.pairs.append((c, c))
+                column[g] = column[-g] = c
+            else:
+                c_inv = [0] * _INITIAL_ROWS
+                self.cols += (c, c_inv)
+                self.pairs += ((c, c_inv), (c_inv, c))
+                column[g], column[-g] = c, c_inv
         # per relator: the column of each letter, of its inverse, and flags
         self.rels, self.flags = [], []
         for w in relators:

@@ -9,17 +9,17 @@ column order) so every result is reproducible bit for bit.
 Every Smith form comes from one kernel, ``_snf_core``, which accumulates only
 the transforms its caller reads, and can start U from given rows instead of
 the identity; the pivot sequence, and so every result, is the same whichever
-it builds.  Every Smith form but ``membership``'s, transforms included, is
-the Smith form of the Hermite rows H of the input, not of the raw matrix:
+it builds.  Every Smith form, transforms included, is the Smith form of the
+Hermite rows H of the input, not of the raw matrix:
 
 - ``cokernel_invariants``: the Smith diagonal of H, no transform;
 - ``smith_normal_form``: U and V.  The Hermite step carries U1 with U1*A = H
   (each input row is followed by its row of the identity), and the kernel
   starts U from U1, so it returns U2*U1 with no matrix product;
-- ``saturation``: U only, on H;
-- ``membership`` is the one caller that runs the kernel on the raw matrix
-  (U only): its inputs are a few rows wide, where the Hermite-then-Smith
-  route measured slower.
+- ``saturation``: U only, on H.
+
+``membership`` needs no Smith form: the same augmented Hermite step hands
+back a basis of the left kernel of A, and that is all it reads.
 
 When H already is a Smith form (row i is d_i times the i-th unit vector,
 each d_i dividing the next) the kernel would change nothing, so
@@ -58,7 +58,7 @@ walks the rows of a Hermite basis in order, each row clearing its pivot
 column of the target, and a remainder or a nonzero residue means the target
 is not in the lattice (Cohen, GTM 138, ch. 2).  ``lattice_contains`` is that
 solve on the Hermite form of its generators, and ``membership`` needs no
-solve at all: it reads its answer off the Smith transform U.  A rational
+solve at all: it reads its answer off the left kernel of A.  A rational
 vector is integer numerators over one denominator, so its coordinates are
 those of a scaled integer vector; no ``Fraction`` is built anywhere.
 """
@@ -467,6 +467,14 @@ def _smith_diagonal(h):
     return diag
 
 
+def _hermite_with_identity(a):
+    """``_hermite_rows`` of the rows of A, each followed by its row of the
+    identity, with pivots in A's columns: basis rows [H | U1] with U1*A = H,
+    and kernel rows [0 | k] with k*A = 0.  The row that came from row i of
+    A stops at entry i of k; k is zero past it."""
+    return _hermite_rows([row + [0] * i + [1] for i, row in enumerate(a.to_rows())], a.cols)
+
+
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Compute U*A*V = D with diagonal D, d_i >= 0 and d_i | d_{i+1}.
 
@@ -478,8 +486,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     near the size of H's instead of growing with the raw matrix's.
     """
     r, c = a.rows, a.cols
-    aug = [row + [0] * i + [1] for i, row in enumerate(a.to_rows())]
-    basis, kernel = _hermite_rows(aug, c)
+    basis, kernel = _hermite_with_identity(a)
     h = [row[:c] for row in basis]
     u1 = [row[c:] for row in basis]
     if _smith_diagonal(h) is None:
@@ -685,16 +692,19 @@ def lattice_contains(lattice: IntMatrix, vector) -> bool:
 def membership(t: RatVector, a: IntMatrix) -> bool:
     """Decide t in (rational column span of a) + Z^n, for a with n rows.
 
-    With U*A*V = D of rank r, U is unimodular and the first r coordinates
-    of U*t are absorbed by D Q^n: t is a member iff every coordinate of U*t
-    from index r on is an integer.
+    Each row of A, followed by its row of the identity, is inserted into a
+    Hermite basis as in ``smith_normal_form``; the rows that reduce to zero
+    in A's columns carry, in the identity's, a basis K of the integer
+    vectors k with k*A = 0.  [U1; K] is unimodular with U1*A of full row
+    rank, so t is a member iff k*t is an integer for every row k of K.
     """
     n = len(t)
     if a.rows != n:
         raise ValueError("a must have one row per coordinate of t")
-    _m, u, _v, rank = _snf_core(a.to_rows(), u=True)
+    c = a.cols
+    _basis, kernel = _hermite_with_identity(a)
     nums = t.numerators
-    return all(sum(map(mul, u[i], nums)) % t.denominator == 0 for i in range(rank, n))
+    return all(sum(map(mul, row[c:], nums)) % t.denominator == 0 for row in kernel)
 
 
 def saturation(a: IntMatrix) -> IntMatrix:

@@ -1,19 +1,65 @@
 """Reference coset table for differential tests: the row-of-lists HLT
-enumerator that the column-layout ``fpgroup._CosetTable`` replaced, kept
-verbatim (only the class name differs).  Rows are numbered from 0, ``None``
-marks an undefined entry, and every lookup goes through union-find.
+enumerator that the column-layout ``fpgroup._CosetTable`` replaced.  Rows are
+numbered from 0, ``None`` marks an undefined entry, and every lookup goes
+through union-find.
+
+With ``involutions=True`` it follows the shared-column rule on its own
+code: a generator g with a relator g^2 or g^-2 keeps only its column 2i,
+which is its own inverse, column 2i + 1 is never defined, g^2 is dropped
+and the other relators are rewritten over g and reduced modulo g^2 = 1.
+Otherwise it is the replaced enumerator verbatim, with ``col ^ 1`` read
+from the ``inverse`` list.
 """
 
 from collections import deque
 
-from stablepi1.fpgroup import CosetLimitExceeded, _column
+from stablepi1.fpgroup import CosetLimitExceeded
+
+
+def _column(letter):
+    idx = abs(letter) - 1
+    return 2 * idx + (0 if letter > 0 else 1)
+
+
+def involutions_of(relators):
+    """Generators g with a relator g^2 or g^-2."""
+    return sorted({abs(w[0]) for w in relators if len(w) == 2 and w[0] == w[1]})
+
+
+def reduce_mod_involutions(word, involutions):
+    """Write g^-1 as g for every involution g, cancel adjacent x x^-1 and
+    g g until none is left, then strip cancelling end pairs."""
+    w = [abs(x) if abs(x) in involutions else x for x in word]
+
+    def cancels(x, y):
+        return x == -y or (x == y and x in involutions)
+
+    k = 0
+    while k + 1 < len(w):
+        if cancels(w[k], w[k + 1]):
+            del w[k : k + 2]
+            k = max(k - 1, 0)
+        else:
+            k += 1
+    while len(w) >= 2 and cancels(w[0], w[-1]):
+        w = w[1:-1]
+    return tuple(w)
 
 
 class ReferenceCosetTable:
     """HLT coset table over the trivial subgroup (Handbook of CGT, ch. 5)."""
 
-    def __init__(self, ngens, relators, max_cosets):
+    def __init__(self, ngens, relators, max_cosets, involutions=False):
         self.ncols = 2 * ngens
+        self.inverse = [col ^ 1 for col in range(self.ncols)]
+        self.unused = set()  # the inverse columns of involutions
+        if involutions:
+            gens = involutions_of(relators)
+            for g in gens:
+                self.inverse[_column(g)] = _column(g)
+                self.unused.add(_column(-g))
+            rewritten = (reduce_mod_involutions(w, gens) for w in relators)
+            relators = [w for w in rewritten if w]
         self.rels = [[_column(letter) for letter in w] for w in relators]
         self.max = max_cosets
         self.table = [[None] * self.ncols]
@@ -48,16 +94,16 @@ class ReferenceCosetTable:
                 delta = row[col]
                 if delta is None:
                     continue
-                self.table[delta][col ^ 1] = None
+                self.table[delta][self.inverse[col]] = None
                 mu = self.rep(gamma)
                 nu = self.rep(delta)
                 if self.table[mu][col] is not None:
                     self._merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][col ^ 1] is not None:
-                    self._merge(mu, self.table[nu][col ^ 1], queue)
+                elif self.table[nu][self.inverse[col]] is not None:
+                    self._merge(mu, self.table[nu][self.inverse[col]], queue)
                 else:
                     self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
+                    self.table[nu][self.inverse[col]] = mu
                 row[col] = None
 
     def _define(self, alpha, col):
@@ -70,7 +116,7 @@ class ReferenceCosetTable:
         self.p.append(new)
         self.nlive += 1
         self.table[alpha][col] = new
-        self.table[new][col ^ 1] = alpha
+        self.table[new][self.inverse[col]] = alpha
 
     def _scan(self, alpha, rel, fill):
         f, i = alpha, 0
@@ -83,15 +129,15 @@ class ReferenceCosetTable:
                 if f != b:
                     self._coincidence(f, b)
                 return
-            while j >= i and self.table[b][rel[j] ^ 1] is not None:
-                b = self.rep(self.table[b][rel[j] ^ 1])
+            while j >= i and self.table[b][self.inverse[rel[j]]] is not None:
+                b = self.rep(self.table[b][self.inverse[rel[j]]])
                 j -= 1
             if j < i:
                 self._coincidence(f, b)
                 return
             if j == i:
                 self.table[f][rel[i]] = b
-                self.table[b][rel[i] ^ 1] = f
+                self.table[b][self.inverse[rel[i]]] = f
                 return
             if not fill:
                 return
@@ -144,7 +190,7 @@ class ReferenceCosetTable:
                         break
                 if not dead:
                     for col in range(self.ncols):
-                        if self.table[alpha][col] is None:
+                        if col not in self.unused and self.table[alpha][col] is None:
                             self._define(alpha, col)
             except CosetLimitExceeded:
                 if self._lookahead() == 0:
@@ -153,9 +199,3 @@ class ReferenceCosetTable:
                 continue
             alpha += 1
         return self.nlive
-
-    def trace_is_trivial(self, word):
-        coset = self.rep(0)
-        for letter in word:
-            coset = self.rep(self.table[coset][_column(letter)])
-        return coset == self.rep(0)

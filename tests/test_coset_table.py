@@ -1,15 +1,19 @@
 """Differential test of the column-layout coset table against the row-of-lists
-reference it replaced, plus a replay of every finished table."""
+reference it replaced, plus a replay of every finished table.
+
+A presentation with a relator g^2 is compared with the reference in
+involution mode, which shares g's column with g^-1 on its own code; its
+closed table, each shared column written out twice, must also equal the
+plain reference's."""
 
 import random
 
 import pytest
 
-from reference_coset_table import ReferenceCosetTable
+from reference_coset_table import ReferenceCosetTable, involutions_of
 from stablepi1.fpgroup import (
     CosetLimitExceeded,
     Presentation,
-    _column,
     _CosetTable,
     cyclic_presentation,
     todd_coxeter_order,
@@ -33,44 +37,70 @@ def standardise(rows):
     return out
 
 
-def live_rows(table):
-    """The column-layout table as rows over its live cosets, renumbered 0.."""
+def live_rows(table, cols):
+    """The column-layout table as rows over its live cosets, renumbered 0..,
+    read through the column lists ``cols``."""
     live = [k for k in range(1, table.top + 1) if table.p[k] == k]
     index = {k: i for i, k in enumerate(live)}
-    return [[index[col[k]] for col in table.cols] for k in live]
+    return [[index[col[k]] for col in cols] for k in live]
+
+
+def doubled_columns(table):
+    """The table's columns with each shared one written out twice: one per
+    generator and one per inverse, in the plain reference's order."""
+    cols = []
+    for col, inv in table.pairs:
+        cols += (col, col) if inv is col else (col,)
+    return cols
 
 
 def reference_rows(table):
     live = [k for k in range(len(table.table)) if table.p[k] == k]
     index = {k: i for i, k in enumerate(live)}
-    return [[index[table.rep(x)] for x in table.table[k]] for k in live]
+    return [
+        [index[table.rep(x)] for c, x in enumerate(table.table[k]) if c not in table.unused]
+        for k in live
+    ]
 
 
-def enumerate_both(ngens, relators, limit):
-    outcome = []
-    for table in (
-        ReferenceCosetTable(ngens, relators, limit),
-        _CosetTable(ngens, relators, limit),
-    ):
-        try:
-            table.enumerate()
-            outcome.append((table, None))
-        except CosetLimitExceeded as exc:
-            outcome.append((table, str(exc)))
-    return outcome
+def run(table):
+    """Enumerate; returns (table, None) or (table, the limit message)."""
+    try:
+        table.enumerate()
+        return table, None
+    except CosetLimitExceeded as exc:
+        return table, str(exc)
 
 
-def replay(table, relators):
-    """Every column is a permutation of the live cosets, columns c and c^1 are
-    mutual inverses, and every relator closes from every coset."""
+def letter_columns(table, ngens):
+    """letter -> column list, read off ``table.pairs``: a pair (c, c) is an
+    involution's shared column, any other pair and the next are g's and g^-1's."""
+    column, pairs = {}, iter(table.pairs)
+    for g in range(1, ngens + 1):
+        col, inv = next(pairs)
+        if inv is not col:
+            next(pairs)
+        column[g], column[-g] = col, inv
+    return column
+
+
+def replay(table, ngens, relators):
+    """Every column is a permutation of the live cosets, each pair in
+    ``table.pairs`` is a column and its inverse (a shared column is an
+    involution: col[col[k]] == k), exactly the generators with a relator
+    g^2 share one, and every relator, g^2 and g^-1 included, closes from
+    every coset."""
     live = [k for k in range(1, table.top + 1) if table.p[k] == k]
     assert len(live) == table.nlive
-    for c, col in enumerate(table.cols):
+    assert [col for col, _inv in table.pairs] == table.cols
+    for col, inv in table.pairs:
         assert sorted(col[k] for k in live) == live
-        inv = table.cols[c ^ 1]
         assert all(inv[col[k]] == k for k in live)
+    column = letter_columns(table, ngens)
+    shared = [g for g in range(1, ngens + 1) if column[g] is column[-g]]
+    assert shared == involutions_of(relators)
     for w in relators:
-        cols = [table.cols[_column(x)] for x in w]
+        cols = [column[x] for x in w]
         for k in live:
             coset = k
             for col in cols:
@@ -79,16 +109,27 @@ def replay(table, relators):
 
 
 def assert_same(ngens, relators, limit):
-    """Enumerate with both tables and compare; returns the new table, or
-    None when both stopped at the limit."""
-    (ref, ref_exc), (new, new_exc) = enumerate_both(ngens, relators, limit)
+    """Enumerate with the new table and the reference (in involution mode
+    when a generator has a relator g^2) and compare; returns the new table,
+    or None when both stopped at the limit."""
+    involutory = bool(involutions_of(relators))
+    ref, ref_exc = run(ReferenceCosetTable(ngens, relators, limit, involutions=involutory))
+    new, new_exc = run(_CosetTable(ngens, relators, limit))
     assert new_exc == ref_exc
     assert new.nlive == ref.nlive
     assert new.top == len(ref.table)
     if new_exc is not None:
         return None
-    assert standardise(live_rows(new)) == standardise(reference_rows(ref))
-    replay(new, relators)
+    assert standardise(live_rows(new, new.cols)) == standardise(reference_rows(ref))
+    if involutory:
+        # a closed table is the group's Cayley graph, whichever way it was
+        # enumerated; the plain reference gets room to close
+        plain, plain_exc = run(ReferenceCosetTable(ngens, relators, 10**6))
+        assert plain_exc is None
+        assert standardise(live_rows(new, doubled_columns(new))) == standardise(
+            reference_rows(plain)
+        )
+    replay(new, ngens, relators)
     return new
 
 
@@ -161,8 +202,9 @@ TRIANGLE_237 = [(1, 1), (2, 2, 2), (1, 2) * 7]
 @pytest.mark.parametrize(
     "k, limit, closes",
     [
-        (4, 170, True),  # order 168: three lookahead passes free room
-        (8, 300, False),  # order 10752: lookahead frees cosets, then gives up
+        (4, 170, True),  # order 168: one lookahead pass frees room
+        # order 10752: lookahead frees cosets, then gives up (at 300 it frees none)
+        (8, 500, False),
     ],
 )
 def test_lookahead_under_tight_limit_matches_reference(monkeypatch, k, limit, closes):
@@ -197,7 +239,9 @@ POWERS = {
     "vD2,2,9": (von_dyck(2, 2, 9), (10**6, 19, 12)),
     "vD3,3,3": (von_dyck(3, 3, 3), (300, 1000)),
     "vD5,5,2": (von_dyck(5, 5, 2), (300, 1000)),
-    "vD2,3,7": (von_dyck(2, 3, 7), (300, 1000)),
+    # at 309, unlike 300, lookahead frees a coset of one relabelling, so
+    # compaction runs after flags are set
+    "vD2,3,7": (von_dyck(2, 3, 7), (309, 1000)),
     "237;4": ((2, TRIANGLE_237 + [(1, 2, -1, -2) * 4]), (10**6, 170, 100)),
     "237;5": ((2, TRIANGLE_237 + [(1, 2, -1, -2) * 5]), (10**6, 300, 100)),
     "237;6": ((2, TRIANGLE_237 + [(1, 2, -1, -2) * 6]), (10**6, 1093, 600)),

@@ -162,6 +162,52 @@ class TestToddCoxeter:
         assert todd_coxeter_order(p, 1000) == 6
 
 
+class TestInvolutions:
+    """A generator with a relator g^2 shares one column with its inverse;
+    every order here is checked against its closed form."""
+
+    def test_square_and_cube_give_trivial_group(self):
+        # a^2 = a^3 = 1 gives a = 1
+        assert todd_coxeter_order(Presentation(("a",), [(1, 1), (1, 1, 1)])) == 1
+
+    def test_fourth_power_reduces_to_nothing(self):
+        # a^4 = (a^2)^2 is empty modulo a^2 = 1: the group is Z/2
+        assert todd_coxeter_order(Presentation(("a",), [(1, 1), (1, 1, 1, 1)])) == 2
+        assert todd_coxeter_order(Presentation(("a",), [(-1, -1), (1, 1, 1, 1)])) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    def test_dihedral(self, n):
+        # <a, b | a^2, b^2, (ab)^n> is dihedral of order 2n, however the
+        # involutions and (ab)^n are written
+        for rels in (
+            [(1, 1), (2, 2), (1, 2) * n],
+            [(-1, -1), (2, 2), (-1, -2) * n],
+            [(1, 1), (-2, -2), (-2, -1) * n],
+        ):
+            assert todd_coxeter_order(Presentation(("a", "b"), rels)) == 2 * n
+
+    def test_commutator_written_with_inverse(self):
+        # <a, b | a^2, a b a^-1 b^-1> is Z/2 x Z: infinite, abelianization Z + Z/2
+        p = Presentation(("a", "b"), [(1, 1), (1, 2, -1, -2)])
+        with pytest.raises(CosetLimitExceeded):
+            todd_coxeter_order(p, 500)
+        inv = abelianization(p)
+        assert inv.free_rank == 1 and inv.torsion == (2,)
+        # b^n = 1 as well: Z/2 x Z/n
+        for n in (1, 2, 3, 7):
+            q = Presentation(("a", "b"), [(1, 1), (1, 2, -1, -2), (2,) * n])
+            assert todd_coxeter_order(q) == 2 * n
+
+    def test_relator_reducing_to_a_single_letter(self):
+        # a b a = 1 with a^2 = 1 gives b = 1: the group is Z/2
+        for w in ((1, 2, 1), (-1, 2, 1), (1, -2, -1)):
+            assert todd_coxeter_order(Presentation(("a", "b"), [(1, 1), w])) == 2
+        # a b c b^-1 a strips to b c b^-1 and then to c, so c = 1 and the
+        # group is <a, b | a^2, b^3, (ab)^2>, the dihedral group of order 6
+        p = Presentation(("a", "b", "c"), [(1, 1), (2, 2, 2), (1, 2, 3, -2, 1), (1, 2) * 2])
+        assert todd_coxeter_order(p) == 6
+
+
 def is_cyclic_of_order(p, n):
     return todd_coxeter_order(p) == n and cyclic_given_order(n, abelianization(p))
 

@@ -6,9 +6,9 @@
 ``Fraction`` versions they replaced (``tests/reference_torus.py``) they must
 return equal results on seeded random inputs, and the cover scenarios B1 and
 B2 must get the same group closure and the same conjugated deck
-transformation.  ``intlin.membership`` reads its answer off the Smith
-transform; it must agree with the former route through a lattice
-membership.
+transformation.  ``intlin.membership`` reads its answer off the left kernel
+of A that the Hermite step hands back; it must agree with the former route
+through a lattice membership.
 """
 
 import random
