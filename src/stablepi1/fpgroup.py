@@ -3,11 +3,21 @@
 Words in a free group are tuples of nonzero ints: letter ``k > 0`` is
 generator ``k - 1`` and ``-k`` its inverse.  Relators are kept freely and
 cyclically reduced.  Group order is certified by Todd-Coxeter coset
-enumeration (HLT strategy with a lookahead pass and table compaction) over
-the trivial subgroup; abelian invariants come from the Smith form of the
-relator exponent matrix.  Coset numbering is deterministic: rows are
-processed lowest first and columns in declared generator order, so coset
-tables are reproducible.
+enumeration (HLT strategy with a lookahead pass and table compaction);
+abelian invariants come from the Smith form of the relator exponent
+matrix.  Coset numbering is deterministic: rows are processed lowest first
+and columns in declared generator order, so coset tables are reproducible.
+
+With two or more generators and a relator that is a proper power u^m (the
+highest one: largest m, the first on ties, relators read modulo g^2 = 1 and
+g^2 itself counting as m = 2), the cosets of H = <u> are enumerated
+instead of those of the trivial subgroup (Neubüser 1982; Handbook of CGT,
+ch. 5).  u permutes the n cosets of H; the order k of that permutation
+divides ord(u), which divides m, so k = m proves |H| = m and
+|G| = n * m.  When k < m the trivial subgroup is enumerated after all, on
+the same table.  ``max_cosets`` bounds the live cosets of whichever
+enumeration runs: the one over H usually needs fewer, so it can close
+where the trivial one would not, and a limit it hits is final.
 
 The coset table is stored by column, one flat ``list[int]`` per generator
 and per inverse, indexed by coset number; cosets are numbered from 1 and 0
@@ -26,6 +36,7 @@ known to close: one scan of <t | t^n> defines and flags all n cosets.
 from __future__ import annotations
 
 from bisect import bisect_left
+from math import lcm
 
 from .intlin import AbelianInvariants, IntMatrix, cokernel_invariants
 
@@ -215,13 +226,39 @@ def _reduce_mod_involutions(word, involutions):
     return out
 
 
+def _root(word):
+    """(u, m) with ``word`` = u^m and m as large as it gets."""
+    n = len(word)
+    if n > 1 and word.count(word[0]) > 1:  # else u's first letter recurs nowhere
+        for d in range(1, n // 2 + 1):
+            if n % d == 0 and word[d] == word[0] and word == word[:d] * (n // d):
+                return word[:d], n // d
+    return word, 1
+
+
+def _highest_power(words):
+    """(u, m) for the word u^m with the largest m >= 2, the first on ties,
+    or None."""
+    best, top = None, 1
+    for w in words:
+        u, m = _root(w)
+        if m > top:
+            best, top = u, m
+    return None if best is None else (best, top)
+
+
 _INITIAL_ROWS = 16
 
 
 class _CosetTable:
-    """HLT coset table over the trivial subgroup (Handbook of CGT, ch. 5).
+    """HLT coset table over the trivial subgroup, or over <u> for a nonempty
+    ``subgroup`` word u (Handbook of CGT, ch. 5).
 
     Cosets are numbered from 1 (the subgroup itself) and 0 means undefined.
+    u must be reduced as the relators are, freely and cyclically, modulo
+    g^2 = 1 over every involution g; it is scanned and filled at coset 1
+    before the first relator.  ``restart`` empties the table for another
+    enumeration of the same presentation.
     The table is stored by column: ``cols[c][k]`` is the image of coset k
     under column c.  Each generator has a column, followed by one for its
     inverse, except an involution: a generator g with a relator g^2 (or
@@ -250,16 +287,28 @@ class _CosetTable:
     most of the cosets they mark die in coincidences.
     """
 
-    def __init__(self, ngens, relators, max_cosets):
+    def __init__(self, ngens, relators, max_cosets, subgroup=()):
         self.max = max_cosets
         involutions = {abs(w[0]) for w in relators if len(w) == 2 and w[0] == w[1]}
-        if involutions:  # the rewrite would re-walk every relator for nothing
-            relators = [
-                w for w in (_reduce_mod_involutions(w, involutions) for w in relators) if w
-            ]
+        # the relators as the table reads them, in their order, g^2 kept as
+        # (g, g) for _highest_power although no scan needs it.  Only those
+        # with a letter of an involution are rewritten: the others are
+        # reduced already, and re-walking them would cost for nothing.
+        self.words = words = relators
+        if involutions:
+            self.words, relators = [], []
+            for w in words:
+                if len(w) == 2 and w[0] == w[1]:
+                    self.words.append((abs(w[0]),) * 2)
+                    continue
+                if not involutions.isdisjoint(map(abs, w)):
+                    w = tuple(_reduce_mod_involutions(w, involutions))
+                self.words.append(w)
+                if w:
+                    relators.append(w)
         self.cols = []
         self.pairs = []  # (column, inverse column) in column order
-        column = {}  # letter -> its column
+        self.column = column = {}  # letter -> its column
         for g in range(1, ngens + 1):
             c = [0] * _INITIAL_ROWS
             if g in involutions:
@@ -278,9 +327,23 @@ class _CosetTable:
             if len(w) >= 3 and len(set(w)) == 1:  # x^m, m >= 3
                 self.flags.append(flags := bytearray(_INITIAL_ROWS))
             self.rels.append(([column[x] for x in w], [column[-x] for x in w], flags))
+        self._start(subgroup)
+
+    def _start(self, subgroup):
+        """Set up an enumeration over <subgroup> on an empty table."""
+        col = self.column
+        # the columns of u's letters and of their inverses; () for no u
+        self.subgroup = subgroup and ([col[x] for x in subgroup], [col[-x] for x in subgroup])
         self.p = [0, 1]
         self.top = 1  # highest coset number in use
         self.nlive = 1
+
+    def restart(self, subgroup=()):
+        """Empty the table for an enumeration over <subgroup>.  Columns and
+        flags are emptied in place, so ``rels`` and ``pairs`` stay bound."""
+        for c in self.cols + self.flags:
+            c[:] = bytes(_INITIAL_ROWS)
+        self._start(subgroup)
 
     # union-find; merges always keep the smaller index, so representatives
     # are minimal and numbering stays deterministic
@@ -406,11 +469,12 @@ class _CosetTable:
         bwd[j][b] = f
         return True
 
-    def _lookahead(self):
-        """Deduction/coincidence pass over the whole table; returns cosets freed."""
+    def _lookahead(self, alpha):
+        """Deduction/coincidence pass from coset ``alpha`` on; returns cosets
+        freed.  Every live coset below the one being processed closes every
+        relator already, so a pass from coset 1 would find nothing more."""
         before = self.nlive
         p = self.p
-        alpha = 1
         while alpha <= self.top:
             if p[alpha] == alpha:
                 for fwd, bwd, flags in self.rels:
@@ -439,6 +503,8 @@ class _CosetTable:
 
     def enumerate(self):
         p, scan = self.p, self._scan
+        if self.subgroup:
+            scan(1, *self.subgroup, True)
         alpha = 1
         while alpha <= self.top:
             if p[alpha] != alpha:
@@ -465,16 +531,36 @@ class _CosetTable:
                         if not col[alpha]:
                             self._define(alpha, col, inv)
             except CosetLimitExceeded:
-                if self._lookahead() == 0:
+                if self._lookahead(alpha) == 0:
                     raise
                 alpha = self._compact(alpha)
                 continue
             alpha += 1
         return self.nlive
 
+    def subgroup_period(self):
+        """Order of the permutation the subgroup word induces on the live
+        cosets of a closed table: the lcm of its cycle lengths."""
+        p, cols = self.p, self.subgroup[0]
+        seen = bytearray(self.top + 1)
+        order = 1
+        for k in range(1, self.top + 1):
+            if p[k] != k or seen[k]:
+                continue
+            length = 0
+            while not seen[k]:
+                seen[k] = 1
+                for col in cols:
+                    k = col[k]
+                length += 1
+            order = lcm(order, length)
+        return order
+
 
 def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
-    """Group order by coset enumeration over the trivial subgroup.
+    """Group order by coset enumeration, over <u> for the highest proper
+    power u^m among the relators when u's permutation of the cosets proves
+    |<u>| = m, else over the trivial subgroup (see the module docstring).
 
     Raises CosetLimitExceeded when the enumeration does not close within
     ``max_cosets`` live cosets (infinite group, or limit too low).
@@ -483,7 +569,16 @@ def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
         raise ValueError("max_cosets must be >= 1")
     if p.ngens == 0:
         return 1
-    return _CosetTable(p.ngens, p.relators, max_cosets).enumerate()
+    table = _CosetTable(p.ngens, p.relators, max_cosets)
+    power = _highest_power(table.words) if p.ngens >= 2 else None
+    if power is not None:
+        u, m = power
+        table._start(u)  # nothing to empty yet
+        index = table.enumerate()
+        if table.subgroup_period() == m:
+            return index * m
+        table.restart()
+    return table.enumerate()
 
 
 def cyclic_given_order(n: int, inv: AbelianInvariants) -> bool:

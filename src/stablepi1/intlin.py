@@ -23,7 +23,10 @@ back a basis of the left kernel of A, and that is all it reads.
 
 When H already is a Smith form (row i is d_i times the i-th unit vector,
 each d_i dividing the next) the kernel would change nothing, so
-``cokernel_invariants`` and ``smith_normal_form`` do not run it.
+``cokernel_invariants`` and ``smith_normal_form`` do not run it.  When A
+already is a Hermite form, as ``saturation`` returns, the augmented
+insertion would hand back [A | I] and no kernel rows, so
+``smith_normal_form`` takes H = A and U1 = I without running it.
 
 Every Hermite form comes from ``_hermite_rows``, which inserts the rows one
 at a time into a basis kept in Hermite form (Kannan and Bachem, SIAM J.
@@ -467,6 +470,28 @@ def _smith_diagonal(h):
     return diag
 
 
+def _is_hermite(rows):
+    """Whether ``rows`` already are a Hermite form: no zero row, pivot
+    columns strictly increasing, positive pivots, and every entry above a
+    pivot in [0, pivot)."""
+    p = -1  # the last pivot column
+    for i, row in enumerate(rows):
+        if any(row[: p + 1]):
+            return False
+        for p in range(p + 1, len(row)):
+            if row[p]:
+                break
+        else:
+            return False  # a zero row
+        d = row[p]
+        if d < 0:
+            return False
+        for h in rows[:i]:
+            if not 0 <= h[p] < d:
+                return False
+    return True
+
+
 def _hermite_with_identity(a):
     """``_hermite_rows`` of the rows of A, each followed by its row of the
     identity, with pivots in A's columns: basis rows [H | U1] with U1*A = H,
@@ -486,9 +511,13 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     near the size of H's instead of growing with the raw matrix's.
     """
     r, c = a.rows, a.cols
-    basis, kernel = _hermite_with_identity(a)
-    h = [row[:c] for row in basis]
-    u1 = [row[c:] for row in basis]
+    h = a.to_rows()
+    if _is_hermite(h):
+        u1, kernel = _identity_rows(r), []
+    else:
+        basis, kernel = _hermite_with_identity(a)
+        h = [row[:c] for row in basis]
+        u1 = [row[c:] for row in basis]
     if _smith_diagonal(h) is None:
         m, u, v, _rank = _snf_core(h, u=u1, v=True)
         v = IntMatrix._of_rows(v, c)

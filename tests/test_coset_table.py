@@ -4,13 +4,15 @@ reference it replaced, plus a replay of every finished table.
 A presentation with a relator g^2 is compared with the reference in
 involution mode, which shares g's column with g^-1 on its own code; its
 closed table, each shared column written out twice, must also equal the
-plain reference's."""
+plain reference's.  Tables over a subgroup <u> are compared with the
+reference's subgroup mode, which scans and fills u at its first coset on its
+own code."""
 
 import random
 
 import pytest
 
-from reference_coset_table import ReferenceCosetTable, involutions_of
+from reference_coset_table import ReferenceCosetTable, involutions_of, reduce_mod_involutions
 from stablepi1.fpgroup import (
     CosetLimitExceeded,
     Presentation,
@@ -84,12 +86,12 @@ def letter_columns(table, ngens):
     return column
 
 
-def replay(table, ngens, relators):
+def replay(table, ngens, relators, subgroup=()):
     """Every column is a permutation of the live cosets, each pair in
     ``table.pairs`` is a column and its inverse (a shared column is an
     involution: col[col[k]] == k), exactly the generators with a relator
-    g^2 share one, and every relator, g^2 and g^-1 included, closes from
-    every coset."""
+    g^2 share one, every relator, g^2 and g^-1 included, closes from
+    every coset, and the subgroup word closes at coset 1."""
     live = [k for k in range(1, table.top + 1) if table.p[k] == k]
     assert len(live) == table.nlive
     assert [col for col, _inv in table.pairs] == table.cols
@@ -106,15 +108,21 @@ def replay(table, ngens, relators):
             for col in cols:
                 coset = col[coset]
             assert coset == k
+    coset = 1
+    for x in subgroup:
+        coset = column[x][coset]
+    assert coset == 1
 
 
-def assert_same(ngens, relators, limit):
+def assert_same(ngens, relators, limit, subgroup=()):
     """Enumerate with the new table and the reference (in involution mode
-    when a generator has a relator g^2) and compare; returns the new table,
-    or None when both stopped at the limit."""
+    when a generator has a relator g^2), over <subgroup>, and compare;
+    returns the new table, or None when both stopped at the limit."""
     involutory = bool(involutions_of(relators))
-    ref, ref_exc = run(ReferenceCosetTable(ngens, relators, limit, involutions=involutory))
-    new, new_exc = run(_CosetTable(ngens, relators, limit))
+    ref, ref_exc = run(
+        ReferenceCosetTable(ngens, relators, limit, involutions=involutory, subgroup=subgroup)
+    )
+    new, new_exc = run(_CosetTable(ngens, relators, limit, subgroup))
     assert new_exc == ref_exc
     assert new.nlive == ref.nlive
     assert new.top == len(ref.table)
@@ -124,12 +132,12 @@ def assert_same(ngens, relators, limit):
     if involutory:
         # a closed table is the group's Cayley graph, whichever way it was
         # enumerated; the plain reference gets room to close
-        plain, plain_exc = run(ReferenceCosetTable(ngens, relators, 10**6))
+        plain, plain_exc = run(ReferenceCosetTable(ngens, relators, 10**6, subgroup=subgroup))
         assert plain_exc is None
         assert standardise(live_rows(new, doubled_columns(new))) == standardise(
             reference_rows(plain)
         )
-    replay(new, ngens, relators)
+    replay(new, ngens, relators, subgroup)
     return new
 
 
@@ -153,6 +161,31 @@ def test_random_presentations_match_reference(limit):
         closed += assert_same(p.ngens, p.relators, limit) is not None
     # the suite must exercise both outcomes
     assert 0 < closed < 120
+
+
+def random_subgroup_word(rng, relators, ngens):
+    """A nonempty random word, reduced freely and cyclically modulo g^2 = 1
+    over the involutions of ``relators``, as the table requires."""
+    involutions = involutions_of(relators)
+    while True:
+        w = [rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(rng.randint(1, 5))]
+        w = reduce_mod_involutions(w, involutions)
+        if w:
+            return w
+
+
+@pytest.mark.parametrize("limit", [50, 200, 2000])
+def test_random_subgroups_match_reference(limit):
+    rng = random.Random(f"subgroup {limit}")
+    closed = nontrivial = 0
+    for _ in range(120):
+        p = random_presentation(rng)
+        u = random_subgroup_word(rng, p.relators, p.ngens)
+        table = assert_same(p.ngens, p.relators, limit, u)
+        if table is not None:
+            closed += 1
+            nontrivial += table.nlive > 1
+    assert 0 < closed < 120 and nontrivial > 0
 
 
 def coxeter(ngens, labels):
@@ -196,6 +229,27 @@ def test_relabelled_named_groups_match_reference(name):
         assert assert_same(p.ngens, p.relators, 10**6).nlive == order
 
 
+def root(word):
+    """(u, m) with word = u^m and m as large as it gets."""
+    for d in range(1, len(word) + 1):
+        if len(word) % d == 0 and word == word[:d] * (len(word) // d):
+            return word[:d], len(word) // d
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_groups_over_power_roots_match_reference(name):
+    """The cosets of <u> for the root u of every power relator u^m; the
+    index divides the order."""
+    (ngens, rels), order = NAMED[name]
+    rng = random.Random(name)
+    p = Presentation(tuple(f"x{i}" for i in range(ngens)), relabel(ngens, rels, rng))
+    powers = [root(w) for w in p.relators if root(w)[1] > 1]
+    assert powers
+    for u, m in powers:
+        index = assert_same(p.ngens, p.relators, 10**6, u).nlive
+        assert order % index == 0 and order // index <= m
+
+
 TRIANGLE_237 = [(1, 1), (2, 2, 2), (1, 2) * 7]
 
 
@@ -211,8 +265,8 @@ def test_lookahead_under_tight_limit_matches_reference(monkeypatch, k, limit, cl
     freed = []
     lookahead = _CosetTable._lookahead
 
-    def counting(self):
-        freed.append(lookahead(self))
+    def counting(self, alpha):
+        freed.append(lookahead(self, alpha))
         return freed[-1]
 
     monkeypatch.setattr(_CosetTable, "_lookahead", counting)

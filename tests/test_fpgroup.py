@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablepi1 import fpgroup
 from stablepi1.fpgroup import (
     CosetLimitExceeded,
     Presentation,
+    _CosetTable,
     abelianization,
     amalgamated_product,
     cyclic_given_order,
     cyclic_presentation,
+    cyclically_reduce,
     inverse_word,
     reduce_word,
     todd_coxeter_order,
@@ -206,6 +209,149 @@ class TestInvolutions:
         # group is <a, b | a^2, b^3, (ab)^2>, the dihedral group of order 6
         p = Presentation(("a", "b", "c"), [(1, 1), (2, 2, 2), (1, 2, 3, -2, 1), (1, 2) * 2])
         assert todd_coxeter_order(p) == 6
+
+
+def relabelled(ngens, rels, rng):
+    """Permute generators, rotate each relator, invert it half the time and
+    shuffle the relators."""
+    perm = list(range(1, ngens + 1))
+    rng.shuffle(perm)
+    out = []
+    for w in rels:
+        w = tuple(perm[abs(x) - 1] * (1 if x > 0 else -1) for x in w)
+        r = rng.randrange(len(w))
+        w = w[r:] + w[:r]
+        out.append(inverse_word(w) if rng.random() < 0.5 else w)
+    rng.shuffle(out)
+    return Presentation(tuple(f"g{i}" for i in range(ngens)), out)
+
+
+def random_power_presentation(rng):
+    """A von Dyck group <a, b | a^p, b^q, (ab)^r> or a rank-3 Coxeter group,
+    three times in five with one more power of a short random word, relabelled:
+    finite and infinite groups, u^m with |<u>| = m and with less."""
+    if rng.random() < 0.6:
+        ngens = 2
+        rels = [(1,) * rng.randint(2, 5), (2,) * rng.randint(2, 5), (1, 2) * rng.randint(2, 7)]
+    else:
+        ngens = 3
+        rels = [(g, g) for g in (1, 2, 3)]
+        rels += [(i, j) * rng.randint(2, 6) for i, j in ((1, 2), (1, 3), (2, 3))]
+    if rng.random() < 0.6:
+        while True:
+            w = [rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(rng.randint(2, 4))]
+            w = cyclically_reduce(reduce_word(w))
+            if w:
+                break
+        rels.append(w * rng.randint(2, 6))
+    return relabelled(ngens, rels, rng)
+
+
+def coxeter_a6(extra=()):
+    """The Coxeter presentation of S_7 on s1..s6, plus ``extra`` relators."""
+    rels = [(i, i) for i in range(1, 7)]
+    rels += [(i, j) * (3 if j == i + 1 else 2) for i in range(1, 7) for j in range(i + 1, 7)]
+    return Presentation([f"s{i}" for i in range(1, 7)], rels + list(extra))
+
+
+def highest_power(p):
+    """The highest power u^m among p's relators, as the coset table reads
+    them: modulo g^2 = 1 over every involution g."""
+    return fpgroup._highest_power(_CosetTable(p.ngens, p.relators, 1).words)
+
+
+def over_power(p, limit=10**6):
+    """(u, m, index, period): the highest power u^m, the index of <u> and the
+    order of u's permutation of its cosets."""
+    u, m = highest_power(p)
+    table = _CosetTable(p.ngens, p.relators, limit, u)
+    return u, m, table.enumerate(), table.subgroup_period()
+
+
+class TestPowerSubgroup:
+    """|G| = |G:<u>| * m for the highest power u^m, when u's permutation of
+    the cosets of <u> has order m; else the trivial subgroup's count."""
+
+    def test_highest_power_choice(self):
+        # modulo a^2 = 1, [a, b]^8 reads (a b a b^-1)^8
+        rels = [(1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * 8]
+        assert highest_power(Presentation("ab", rels)) == ((1, 2, 1, -2), 8)
+        # the first on ties, g^2 counts as m = 2, no power gives None
+        assert highest_power(Presentation("ab", [(2, 2, 2), (1, 1, 1)])) == ((2,), 3)
+        assert highest_power(Presentation("ab", [(1, -2, 1, -2), (-2, -2)])) == ((1, 2), 2)
+        assert highest_power(Presentation("ab", [(1, 2, -1, -2), (-2, -2)])) == ((2,), 2)
+        assert highest_power(Presentation("ab", [(1, 2, -1, -2)])) is None
+
+    def test_orders_agree_with_the_trivial_subgroup(self):
+        rng = random.Random(16)
+        limit = 1000
+        certified = fell_back = refused = 0
+        for _ in range(300):
+            p = random_power_presentation(rng)
+            try:
+                _u, m, index, period = over_power(p, limit)
+            except CosetLimitExceeded:
+                # a limit the enumeration over <u> hits is final
+                with pytest.raises(CosetLimitExceeded):
+                    todd_coxeter_order(p, limit)
+                refused += 1
+                continue
+            assert period <= m and m % period == 0
+            try:
+                want = _CosetTable(p.ngens, p.relators, limit).enumerate()
+            except CosetLimitExceeded:
+                want = _CosetTable(p.ngens, p.relators, 10**5).enumerate()
+            if period == m:
+                certified += 1
+                assert index * m == want, p
+            else:
+                fell_back += 1
+            assert todd_coxeter_order(p, 10**5) == want, p
+        assert certified >= 30 and fell_back >= 60 and refused >= 60
+
+    def test_unproved_power_falls_back(self):
+        # (s1 s2)^6 holds in S_7 but s1 s2 has order 3: n * m would be 10080
+        p = coxeter_a6([(1, 2) * 6])
+        assert over_power(p) == ((1, 2), 6, 1680, 3)
+        assert todd_coxeter_order(p) == 5040
+
+    def test_normal_subgroup_falls_back(self):
+        # Z/4 x Z/6: <b> is normal, so b fixes every coset of it
+        p = Presentation("ab", [(1,) * 4, (2,) * 6, (1, 2, -1, -2)])
+        assert over_power(p) == ((2,), 6, 4, 1)
+        assert todd_coxeter_order(p) == 24
+
+    def test_index_one_falls_back(self):
+        # b = a^2, so <a> is the whole group: Z/6
+        p = Presentation("ab", [(1,) * 6, (-2, 1, 1)])
+        assert over_power(p) == ((1,), 6, 1, 1)
+        assert todd_coxeter_order(p) == 6
+
+    def test_proved_power(self):
+        p = Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * 8])
+        assert over_power(p) == ((1, 2, 1, -2), 8, 1344, 8)
+        assert todd_coxeter_order(p) == 10752
+        assert todd_coxeter_order(coxeter_a6()) == 5040
+
+    def test_limit_bounds_the_enumeration_that_runs(self, monkeypatch):
+        p = Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * 8])
+        # 10752 cosets of the trivial subgroup do not fit in 5000
+        with pytest.raises(CosetLimitExceeded):
+            _CosetTable(p.ngens, p.relators, 5000).enumerate()
+        assert todd_coxeter_order(p, 5000) == 10752
+        # the infinite (2,3,7) triangle group: refused by the enumeration over
+        # <ab>, with no fallback
+        runs = []
+        enumerate_ = _CosetTable.enumerate
+
+        def recorded(self):
+            runs.append(self.subgroup and len(self.subgroup[0]))
+            return enumerate_(self)
+
+        monkeypatch.setattr(_CosetTable, "enumerate", recorded)
+        with pytest.raises(CosetLimitExceeded, match="more than 4000 live cosets"):
+            todd_coxeter_order(Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7]), 4000)
+        assert runs == [2]
 
 
 def is_cyclic_of_order(p, n):

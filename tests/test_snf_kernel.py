@@ -259,6 +259,66 @@ def test_snf_of_a_hermite_matrix_keeps_its_transforms(monkeypatch, capsys, rows,
     assert json.loads(snf_cli(monkeypatch, capsys, text, "json")) == want
 
 
+def random_hermite(rng):
+    """A random Hermite form: pivot columns strictly increasing, positive
+    pivots, entries above a pivot in [0, pivot), anything right of it."""
+    c = rng.randint(1, 7)
+    pivots = sorted(rng.sample(range(c), rng.randint(1, c)))
+    rows = []
+    for p in pivots:
+        row = [0] * p + [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(c - p - 1)]
+        rows.append(row)
+    for i, p in enumerate(pivots):
+        for h in rows[:i]:
+            h[p] = rng.randrange(rows[i][p])
+    return rows
+
+
+def hermite_corpus():
+    rng = random.Random(16)
+    out = [random_hermite(rng) for _ in range(300)]
+    for _ in range(100):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        out.append(hermite_normal_form(IntMatrix.from_rows(random_rows(rng, r, c))).to_rows())
+    return [rows for rows in out if rows]
+
+
+def test_is_hermite_agrees_with_the_hermite_form():
+    """The Hermite form of a lattice is unique, so rows are one exactly when
+    hermite_normal_form returns them unchanged (it drops zero rows)."""
+    rng = random.Random(61)
+    cases = hermite_corpus() + oracle_matrices()
+    for _ in range(200):  # Hermite forms with one entry disturbed
+        rows = [list(row) for row in random_hermite(rng)]
+        rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += rng.choice((-3, -1, 1, 3))
+        cases.append(rows)
+    seen = {True: 0, False: 0}
+    for rows in cases:
+        want = hermite_normal_form(IntMatrix.from_rows(rows)).to_rows() == rows
+        assert intlin._is_hermite(rows) == want, rows
+        seen[want] += 1
+    assert min(seen.values()) >= 100
+
+
+def test_snf_of_a_hermite_input_skips_the_augmented_insertion(monkeypatch):
+    """On a Hermite input the augmented insertion would return [A | I] and no
+    kernel rows; taking them without it leaves D, U and V as they were."""
+    corpus = hermite_corpus()
+
+    def refused(a):
+        raise AssertionError("augmented insertion ran on a Hermite input")
+
+    monkeypatch.setattr(intlin, "_hermite_with_identity", refused)
+    fast = [smith_normal_form(IntMatrix.from_rows(rows)) for rows in corpus]
+    monkeypatch.undo()
+    monkeypatch.setattr(intlin, "_is_hermite", lambda rows: False)
+    slow = [smith_normal_form(IntMatrix.from_rows(rows)) for rows in corpus]
+    assert fast == slow
+    for rows, res in zip(corpus, fast):
+        a = IntMatrix.from_rows(rows)
+        assert res.u.mul(a).mul(res.v) == res.d
+
+
 def oracle_matrices():
     rng = random.Random(7)
     out = []
