@@ -2,34 +2,11 @@
 
 Smith and Hermite normal forms over the integers, lattice membership and
 saturation, and invariant factors of finitely generated abelian groups.
-All arithmetic is arbitrary precision; no floating point is used anywhere.
-Pivot selection is pinned (smallest absolute value, ties broken by row then
-column order) so every result is reproducible bit for bit.
+All arithmetic is arbitrary precision; no floating point is used anywhere,
+and every result is reproducible bit for bit.
 
-Every Smith form comes from one kernel, ``_snf_core``, which accumulates only
-the transforms its caller reads, and can start U from given rows instead of
-the identity; the pivot sequence, and so every result, is the same whichever
-it builds.  Every Smith form, transforms included, is the Smith form of the
-Hermite rows H of the input, not of the raw matrix:
-
-- ``cokernel_invariants``: the Smith diagonal of H, no transform;
-- ``smith_normal_form``: U and V.  The Hermite step carries U1 with U1*A = H
-  (each input row is followed by its row of the identity), and the kernel
-  starts U from U1, so it returns U2*U1 with no matrix product;
-- ``saturation``: U only, on H.
-
-``membership`` needs no Smith form: the same augmented Hermite step hands
-back a basis of the left kernel of A, and that is all it reads.
-
-When H already is a Smith form (row i is d_i times the i-th unit vector,
-each d_i dividing the next) the kernel would change nothing, so
-``cokernel_invariants`` and ``smith_normal_form`` do not run it.  When A
-already is a Hermite form, as ``saturation`` returns, the augmented
-insertion would hand back [A | I] and no kernel rows, so
-``smith_normal_form`` takes H = A and U1 = I without running it.
-
-Every Hermite form comes from ``_hermite_rows``, which inserts the rows one
-at a time into a basis kept in Hermite form (Kannan and Bachem, SIAM J.
+One kernel, ``_hermite_rows``, does every elimination.  It inserts the rows
+one at a time into a basis kept in Hermite form (Kannan and Bachem, SIAM J.
 Comput. 8, 1979; Cohen, GTM 138, sec. 2.4).  A row is reduced against the
 basis pivot by pivot: by exact division where the basis pivot divides its
 entry, otherwise by a 2 x 2 extended-gcd step that leaves the gcd as the new
@@ -38,18 +15,32 @@ pivot joins the basis there.  Before the next row comes in, every row the
 insertion changed is reduced by the rows below it, and the rows above by
 it, so entries stay near the size of the final form's; eliminating one
 column at a time across all rows lets them grow to hundreds of bits first
-(Havas, Majewski and Matthews, Experimental Math. 7, 1998).  The Hermite
-rows span the same lattice as the input with far smaller entries, so the
-Smith kernel runs on them, and U and V stay near their size too.  A basis
-row with few nonzero entries past its pivot is subtracted entry by entry
-over those columns only, so sparse input does not pay for its zeros.
+(Havas, Majewski and Matthews, Experimental Math. 7, 1998).  A basis row
+with few nonzero entries past its pivot is subtracted entry by entry over
+those columns only, so sparse input does not pay for its zeros.  Pivots
+are sought in the leading columns only, so the columns after them ride
+along and record the transform.
 
-While it is built, V is held as a list of its columns, so a column operation
-is one list comprehension; it is returned by rows.  A column operation on the
-working matrix touches only the rows with a nonzero entry in the pivot
-column.  The pivot must shrink after every reduction that leaves a
-remainder and between two offender steps; a kernel defect that breaks this
-raises ``RuntimeError`` instead of looping.
+A Smith form alternates the kernel, as Kannan and Bachem do: ``_smith_rows``
+inserts the columns of the matrix, with the rows of V^T riding along, then
+its rows, with those of U, and again, until the matrix is diagonal; no
+matrix product is formed.  One 2 x 2 unimodular step per pair of diagonal
+entries that breaks the divisibility chain ends it.  A round that leaves
+the first unsettled position and its pivot as they were raises
+``RuntimeError`` instead of looping.  Every Smith form, transforms
+included, is that of the Hermite rows H of the input, not of the raw
+matrix, so U and V stay near the size of H's entries:
+
+- ``cokernel_invariants``: the diagonal, no transform;
+- ``smith_normal_form``: U and V.  The Hermite step carries U1 with U1*A = H
+  (each input row is followed by its row of the identity), and U starts
+  from U1, so U2*U1 comes back.  When A already is a Hermite form, as
+  ``saturation`` returns, that step would hand back [A | I] and no kernel
+  rows, so H = A and U1 = I are taken without running it;
+- ``saturation``: U started from the rows of H, so U*H comes back.
+
+``membership`` needs no Smith form: the augmented Hermite step hands back a
+basis of the left kernel of A, and that is all it reads.
 
 The value types are plain ``__slots__`` classes, treated as immutable.  Their
 public constructors raise ``ValueError`` on anything but plain ints (a bool,
@@ -335,145 +326,92 @@ class SnfResult(namedtuple("SnfResult", "d u v")):
         return tuple(self.d.at(i, i) for i in range(min(self.d.rows, self.d.cols)))
 
 
-def _min_pivot(m, t, rows):
-    """First (i, j) in row-major order of m[t:, t:] whose entry has the
-    smallest nonzero absolute value, or None when the block is zero."""
-    best = 0
-    where = None
-    for i in range(t, rows):
-        a = min(map(abs, filter(None, m[i][t:])), default=0)
-        if a and (not best or a < best):
-            best = a
-            where = i
-            if a == 1:
-                break
-    if where is None:
-        return None
-    row = m[where]
-    j = t
-    while row[j] != best and row[j] != -best:
-        j += 1
-    return where, j
+def _hermite_riding(rows, rider):
+    """Hermite rows of ``rows``, each followed by its row of ``rider`` while
+    it is inserted; returns the basis and the new rider: the riding parts of
+    the basis rows, then of the rows that reduced to zero, then the rows of
+    ``rider`` past ``len(rows)``, which did not ride."""
+    w = len(rows[0])
+    basis, kernel = _hermite_rows([list(row) + x for row, x in zip(rows, rider)], w)
+    return [row[:w] for row in basis], [row[w:] for row in basis + kernel] + rider[len(rows) :]
 
 
-def _identity_rows(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _off_diagonal(h):
+    """The first of the Hermite rows ``h``, of full row rank, with a nonzero
+    entry past the diagonal, or None when ``h`` is diagonal."""
+    return next((i for i, row in enumerate(h) if any(row[i + 1 :])), None)
 
 
-def _snf_core(rows_in, *, u=False, v=False):
-    """Smith form on a list of rows; returns (m, u, v, rank).
+def _mix(rows, i, j, a, b, c, d):
+    """Rows i and j of ``rows`` times [[a, b], [c, d]], in place."""
+    ri, rj = rows[i], rows[j]
+    rows[i] = [a * p + b * q for p, q in zip(ri, rj)]
+    rows[j] = [c * p + d * q for p, q in zip(ri, rj)]
 
-    Only the transforms asked for are built; the others come back as None.
-    ``u`` is True for U itself or a list of starting rows, one per row of
-    ``rows_in``: the row operations act on those, so U times them comes back.
-    V is built as a list of its columns and transposed at the end.
+
+def _smith_round(m, u, vt):
+    """One round of the Smith kernel: insert the columns of ``m``, the rows
+    of ``vt`` riding along, then, unless that left it diagonal, its rows,
+    the rows of ``u`` riding along.  On a diagonal result, each pair (a, b)
+    with a not dividing b becomes (g, a*b/g), g = gcd(a, b) = s*a + t*b:
+    rows of U times [[s, t], [-b/g, a/g]], columns of V times
+    [[1, -t*b/g], [1, s*a/g]], both of determinant 1."""
+    cols, vt = _hermite_riding(list(zip(*m)), vt)
+    if _off_diagonal(cols) is None:
+        m = [list(row) for row in zip(*cols)]
+    else:
+        m, u = _hermite_riding(list(zip(*cols)), u)
+        if _off_diagonal(m) is not None:
+            return m, u, vt
+    for i in range(len(m)):
+        for j in range(i + 1, len(m)):
+            a, b = m[i][i], m[j][j]
+            if b % a:
+                g = gcd(a, b)
+                x, y = a // g, b // g
+                s = pow(x, -1, y)
+                t = (1 - s * x) // y
+                m[i][i], m[j][j] = g, x * b
+                _mix(u, i, j, s, t, -y, x)
+                _mix(vt, i, j, 1, 1, -t * y, s * x)
+    return m, u, vt
+
+
+def _smith_rows(h, u=None, vt=None):
+    """Smith form of Hermite rows ``h`` of full row rank, by alternating
+    Hermite insertion; returns (diagonal, u, vt).
+
+    The row operations act on ``u``, one starting row per row of ``h``, and
+    the column operations on ``vt``, one per column, so U times ``u`` and
+    V^T times ``vt`` come back; each defaults to empty rows.  Neither ``h``
+    nor the starting rows are changed.
     """
-    r = len(rows_in)
-    c = len(rows_in[0]) if r else 0
-    m = [list(row) for row in rows_in]
-    u_rows = _identity_rows(r) if u is True else None if u is False else list(u)
-    vcols = _identity_rows(c) if v else None
-    t = 0
-    while t < min(r, c):
-        where = _min_pivot(m, t, r)
-        if where is None:
-            break
-        # |pivot| shrinks after every reduction that leaves a remainder, and
-        # between two offender steps; a pivot that does not means a kernel
-        # defect, which would otherwise loop forever
-        shrink_below = 0
-        offender_pivot = 0
-        while True:
-            i, j = where
-            if i != t:
-                m[t], m[i] = m[i], m[t]
-                if u_rows is not None:
-                    u_rows[t], u_rows[i] = u_rows[i], u_rows[t]
-            if j != t:
-                # rows above t are zero in every column >= t
-                for row in m[t:]:
-                    row[t], row[j] = row[j], row[t]
-                if vcols is not None:
-                    vcols[t], vcols[j] = vcols[j], vcols[t]
-            mt = m[t]
-            if mt[t] < 0:
-                mt = m[t] = [-e for e in mt]
-                if u_rows is not None:
-                    u_rows[t] = [-e for e in u_rows[t]]
-            pivot = mt[t]
-            if 0 < shrink_below <= pivot:
-                raise RuntimeError(f"Smith form pivot did not shrink at diagonal position {t}")
-            # rows from t on are zero in every column < t
-            tail = mt[t:]
-            clean = True
-            for i2 in range(t + 1, r):
-                row = m[i2]
-                q = row[t] // pivot
-                if q:
-                    row = m[i2] = row[:t] + [a - q * b for a, b in zip(row[t:], tail)]
-                    if u_rows is not None:
-                        u_rows[i2] = [a - q * b for a, b in zip(u_rows[i2], u_rows[t])]
-                if row[t]:
-                    clean = False
-            # a column operation only changes rows with a nonzero entry in
-            # column t, and column t itself does not change in this loop
-            touched = [row for row in m[t:] if row[t]]
-            for j2 in range(t + 1, c):
-                q = mt[j2] // pivot
-                if q:
-                    for row in touched:
-                        row[j2] -= q * row[t]
-                    if vcols is not None:
-                        vcols[j2] = [a - q * b for a, b in zip(vcols[j2], vcols[t])]
-                if mt[j2]:
-                    clean = False
-            if not clean:
-                shrink_below = pivot
-                where = _min_pivot(m, t, r)
-                continue
-            offender = None
-            if pivot != 1:  # everything is a multiple of 1
-                for i2 in range(t + 1, r):
-                    if any(e % pivot for e in m[i2][t + 1 :]):
-                        offender = i2
-                        break
-            if offender is None:
-                break
-            if 0 < offender_pivot <= pivot:
-                raise RuntimeError(f"Smith form pivot did not shrink at diagonal position {t}")
-            offender_pivot = pivot
-            shrink_below = 0  # the next pivot may equal this one
-            m[t] = [a + b for a, b in zip(mt, m[offender])]
-            if u_rows is not None:
-                u_rows[t] = [a + b for a, b in zip(u_rows[t], u_rows[offender])]
-            where = _min_pivot(m, t, r)
-        t += 1
-    if vcols is not None:
-        vcols = [list(row) for row in zip(*vcols)]
-    return m, u_rows, vcols, t
-
-
-def _smith_diagonal(h):
-    """The diagonal of Hermite rows that already are a Smith form, else None.
-
-    Row i must be d_i times the i-th unit vector, each d_i dividing the
-    next; ``_snf_core`` would leave such rows as they are.
-    """
-    diag = []
-    prev = 1
-    for i, row in enumerate(h):
-        d = row[i]
-        if not d or d % prev or any(row[i + 1 :]):
-            return None
-        diag.append(d)
-        prev = d
-    return diag
+    m = h
+    u = [[] for _ in h] if u is None else list(u)
+    vt = [[] for _ in zip(*h)] if vt is None else vt
+    last = None
+    while True:
+        t = _off_diagonal(m)
+        if t is None:
+            # diagonal: the first entry that does not divide the next
+            t = next((i for i in range(len(m) - 1) if m[i + 1][i + 1] % m[i][i]), None)
+            if t is None:
+                return [row[i] for i, row in enumerate(m)], u, vt
+        # every round shrinks the pivot at t or settles position t, so one
+        # that leaves both as they were is a kernel defect, which would
+        # otherwise loop forever
+        if (t, m[t][t]) == last:
+            raise RuntimeError(f"Smith form pivot did not shrink at diagonal position {t}")
+        last = t, m[t][t]
+        m, u, vt = _smith_round(m, u, vt)
 
 
 def _is_hermite(rows):
     """Whether ``rows`` already are a Hermite form: no zero row, pivot
     columns strictly increasing, positive pivots, and every entry above a
-    pivot in [0, pivot)."""
+    pivot in [0, pivot).  ``smith_normal_form`` then takes them as H, with
+    U1 = I, instead of running the augmented insertion that would return
+    them unchanged."""
     p = -1  # the last pivot column
     for i, row in enumerate(rows):
         if any(row[: p + 1]):
@@ -506,27 +444,27 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     Each row of A, followed by its row of the identity, is inserted into a
     Hermite basis whose pivots lie in A's columns, so the basis rows read
     [H | U1] with U1*A = H, and a row that reduces to zero there is a row of
-    U in the kernel of A.  The Smith kernel runs on H with U1 as its starting
-    rows, so its row operations build U2*U1 directly; U and V keep entries
-    near the size of H's instead of growing with the raw matrix's.
+    U in the kernel of A.  The Smith kernel runs on H with U1 as the
+    starting rows of U and the identity as those of V^T, so U2*U1 comes back
+    with no matrix product; U and V keep entries near the size of H's
+    instead of growing with the raw matrix's.
     """
     r, c = a.rows, a.cols
     h = a.to_rows()
     if _is_hermite(h):
-        u1, kernel = _identity_rows(r), []
+        u1, kernel = IntMatrix.identity(r).to_rows(), []
     else:
         basis, kernel = _hermite_with_identity(a)
         h = [row[:c] for row in basis]
         u1 = [row[c:] for row in basis]
-    if _smith_diagonal(h) is None:
-        m, u, v, _rank = _snf_core(h, u=u1, v=True)
-        v = IntMatrix._of_rows(v, c)
-    else:
-        m, u, v = h, u1, IntMatrix.identity(c)
+    diag, u, vt = _smith_rows(h, u1, IntMatrix.identity(c).to_rows())
+    d = [0] * (r * c)
+    for i, x in enumerate(diag):
+        d[i * c + i] = x
     return SnfResult(
-        IntMatrix._trusted(r, c, tuple(chain.from_iterable(m)) + (0,) * (c * len(kernel))),
+        IntMatrix._trusted(r, c, tuple(d)),
         IntMatrix._of_rows(u + [row[c:] + [0] * (c + r - len(row)) for row in kernel], r),
-        v,
+        IntMatrix._trusted(c, c, tuple(chain.from_iterable(zip(*vt)))),
     )
 
 
@@ -536,10 +474,7 @@ def cokernel_invariants(a: IntMatrix, ambient_rank: int) -> AbelianInvariants:
     if a.cols != ambient_rank:
         raise ValueError("rows of a must live in Z^ambient_rank")
     h, _kernel = _hermite_rows(a.to_rows(), a.cols)
-    diag = _smith_diagonal(h)
-    if diag is None:
-        m, _u, _v, rank = _snf_core(h)
-        diag = [m[i][i] for i in range(rank)]
+    diag = _smith_rows(h)[0]
     return AbelianInvariants(ambient_rank - len(diag), tuple(d for d in diag if d > 1))
 
 
@@ -744,10 +679,10 @@ def saturation(a: IntMatrix) -> IntMatrix:
     saturation.
     """
     h, _kernel = _hermite_rows(a.to_rows(), a.cols)
-    m, u, _v, rank = _snf_core(h, u=True)
-    if all(m[i][i] == 1 for i in range(rank)):
+    # U started from the rows of H comes back as U*H
+    diag, uh, _vt = _smith_rows(h, h)
+    if all(d == 1 for d in diag):
         # every d_i is 1: the lattice is its own saturation
         return IntMatrix._of_rows(h, a.cols)
-    cols = list(zip(*h))
-    rows = [[sum(map(mul, u[i], col)) // m[i][i] for col in cols] for i in range(rank)]
+    rows = [[x // d for x in row] for row, d in zip(uh, diag)]
     return hermite_normal_form(IntMatrix._of_rows(rows, a.cols))

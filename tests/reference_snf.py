@@ -1,7 +1,10 @@
-"""Reference Smith-form kernel for differential tests: the kernel that the
-accumulator-selecting ``intlin._snf_core`` replaced, kept verbatim (only the
-function name differs).  It always builds U, V and V^-1, holds V by rows and
-applies every column operation to every row of the working matrix.
+"""Reference Smith-form kernel for differential tests: the first
+pivot-search kernel of ``intlin`` (smallest entry first), kept verbatim
+(only the function name differs); ``intlin`` now alternates Hermite
+insertion instead.  It always builds U, V and V^-1,
+holds V by rows and applies every column operation to every row of the
+working matrix.  The tests read its D, rank and V^-1; D is unique, so
+``intlin`` must match it, while its U and V are one choice among many.
 """
 
 

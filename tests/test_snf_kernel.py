@@ -1,17 +1,20 @@
 """Differential tests of the Smith-form kernel.
 
-``intlin._snf_core`` builds only the transforms it is asked for (U, V or
-both), and U may start from given rows instead of the identity.  Against the
-kernel it replaced (``tests/reference_snf.py``, which always builds U, V and
-V^-1) it must return the same diagonal form, rank and requested transforms,
-bit for bit, for every choice of transforms, and U times the starting rows.
-``saturation`` reads U only; it must equal the Hermite form of the first
-rank rows of the reference kernel's V^-1.  ``smith_normal_form`` runs the
-kernel on the Hermite rows, so its U and V stay small on dense input.  The
-public results are also compared with sympy's Smith form over ZZ when sympy
-is installed.
+``intlin._smith_rows`` takes Hermite rows H of full row rank and
+alternates Hermite insertion of their columns and rows; the rows of U and
+V^T ride along, each from given starting rows, so only the transforms a
+caller asks for are built.  On the Hermite rows of every corpus matrix it
+must return the diagonal and rank of the reference kernel
+(``tests/reference_snf.py``, an earlier pivot-search kernel), with
+U*H*V = D and U, V unimodular, the same U and V whichever of them are asked
+for, and U times the starting rows.  ``saturation`` reads U only; it must
+equal the Hermite form of the first rank rows of the reference kernel's
+V^-1.  ``smith_normal_form`` runs the kernel on the Hermite rows, so its U
+and V stay small on dense input.  The public results are also compared with
+sympy's Smith form over ZZ when sympy is installed.
 """
 
+import copy
 import io
 import itertools
 import json
@@ -32,7 +35,7 @@ from stablepi1.intlin import (
     smith_normal_form,
 )
 
-ACCUMULATORS = ("u", "v")
+ACCUMULATORS = ("u", "vt")
 SUBSETS = [
     frozenset(combo)
     for k in range(len(ACCUMULATORS) + 1)
@@ -118,32 +121,61 @@ def test_corpus_size_and_shapes():
     }
 
 
+def identity_rows(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def hermite_rows(rows):
+    """The rows the kernel is handed: the Hermite rows of ``rows``."""
+    width = len(rows[0]) if rows else 0
+    return intlin._hermite_rows([list(row) for row in rows], width)[0], width
+
+
+def smith_rows(h, width, subset):
+    starts = {"u": identity_rows(len(h)), "vt": identity_rows(width)}
+    return intlin._smith_rows(h, **{name: starts[name] for name in subset})
+
+
+def assert_unimodular(rows):
+    assert abs(IntMatrix.from_rows(rows, cols=len(rows)).det()) == 1
+
+
 @pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_every_accumulator_subset_matches_reference(index):
     label, rows = CORPUS[index]
-    want = reference_snf_core(rows)
+    m, _u, _v, _vinv, rank = reference_snf_core(rows)
+    h, width = hermite_rows(rows)
+    diag, u, vt = smith_rows(h, width, SUBSETS[-1])
+    assert diag == [m[i][i] for i in range(rank)], label
+    d = [[diag[i] if i == j else 0 for j in range(width)] for i in range(rank)]
+    if h:
+        assert matmul(matmul(u, h), [list(col) for col in zip(*vt)]) == d, label
+        assert_unimodular(u)
+    if width:
+        assert_unimodular(vt)
     for subset in SUBSETS:
-        got = intlin._snf_core(rows, **{name: True for name in subset})
-        assert got[0] == want[0], (label, subset, "m")
-        assert got[3] == want[4], (label, subset, "rank")
-        for slot, name in enumerate(ACCUMULATORS, start=1):
+        got = smith_rows(h, width, subset)
+        assert got[0] == diag, (label, subset)
+        for slot, name, want in ((1, "u", u), (2, "vt", vt)):
             if name in subset:
-                assert got[slot] == want[slot], (label, subset, name)
+                assert got[slot] == want, (label, subset, name)
             else:
-                assert got[slot] is None, (label, subset, name)
+                assert not any(got[slot]), (label, subset, name)  # empty rows
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))
 def test_seeded_u_is_reference_u_times_seed(index):
     label, rows = CORPUS[index]
+    h, width = hermite_rows(rows)
     rng = random.Random(index)
-    seed = random_rows(rng, len(rows), len(rows) + 2, -3, 3)
-    want_m, want_u, want_v, _vinv, want_rank = reference_snf_core(rows)
-    for v in (False, True):
-        m, u, got_v, rank = intlin._snf_core(rows, u=seed, v=v)
-        assert (m, rank) == (want_m, want_rank), label
-        assert u == matmul(want_u, seed), label
-        assert got_v == (want_v if v else None), label
+    u_seed = random_rows(rng, len(h), len(h) + 2, -3, 3)
+    vt_seed = random_rows(rng, width, width + 2, -3, 3)
+    diag, u, vt = intlin._smith_rows(h, identity_rows(len(h)), identity_rows(width))
+    for with_vt in (False, True):
+        got = intlin._smith_rows(h, u_seed, vt_seed if with_vt else None)
+        assert got[0] == diag, label
+        assert got[1] == matmul(u, u_seed), label
+        assert (got[2] == matmul(vt, vt_seed)) if with_vt else not any(got[2]), label
 
 
 @pytest.mark.parametrize("index", range(len(CORPUS)))
@@ -156,18 +188,16 @@ def test_saturation_matches_reference_vinv(index):
 
 
 def test_input_rows_are_not_modified():
-    rows = [[4, 6], [6, 9], [2, -3]]
-    intlin._snf_core(rows, u=True, v=True)
-    assert rows == [[4, 6], [6, 9], [2, -3]]
-
-
-def reference_without_vinv(rows_in, *, u=False, v=False):
-    """The reference kernel in place of ``_snf_core``: U and V always built,
-    and U applied to the starting rows when ``u`` holds some."""
-    m, ref_u, ref_v, _vinv, rank = reference_snf_core(rows_in)
-    if u is not True and u is not False:
-        ref_u = matmul(ref_u, u)
-    return m, ref_u, ref_v, rank
+    # the second input is diagonal after its column pass, so the chain step
+    # acts on the starting rows of U before any row pass has copied them
+    for rows, want in (([[4, 6], [6, 9], [2, -3]], [1, 12]), ([[2, 0], [0, 3]], [1, 6])):
+        h, width = hermite_rows(rows)
+        u, vt = identity_rows(len(h)), identity_rows(width)
+        before = copy.deepcopy((rows, h, u, vt))
+        diag, _u, _vt = intlin._smith_rows(h, u, vt)
+        assert diag == want
+        intlin._smith_rows(h, h)
+        assert (rows, h, u, vt) == before
 
 
 def snf_cli(monkeypatch, capsys, text, fmt):
@@ -176,15 +206,25 @@ def snf_cli(monkeypatch, capsys, text, fmt):
     return capsys.readouterr().out
 
 
+def render(res, fmt):
+    """What ``snf`` prints for the result ``res``."""
+    if fmt == "json":
+        out = {"d": res.d.to_rows(), "u": res.u.to_rows(), "v": res.v.to_rows()}
+        return json.dumps({**out, "diagonal": list(res.diagonal())}, indent=2) + "\n"
+    return "".join(f"{name} =\n{mat}\n" for name, mat in (("D", res.d), ("U", res.u), ("V", res.v)))
+
+
 @pytest.mark.parametrize("fmt", ["md", "json"])
 def test_snf_cli_output_matches_reference_kernel(monkeypatch, capsys, fmt):
     samples = [label_rows[1] for label_rows in CORPUS[3::17] if label_rows[1]]
     for rows in samples:
         text = "\n".join(" ".join(str(x) for x in row) for row in rows) + "\n"
-        with monkeypatch.context() as patch:
-            patch.setattr(intlin, "_snf_core", reference_without_vinv)
-            want = snf_cli(patch, capsys, text, fmt)
-        assert snf_cli(monkeypatch, capsys, text, fmt) == want
+        a = IntMatrix.from_rows(rows)
+        res = smith_normal_form(a)
+        assert res.d == IntMatrix.from_rows(reference_snf_core(rows)[0]), rows
+        assert res.u.mul(a).mul(res.v) == res.d, rows
+        assert abs(res.u.det()) == 1 and abs(res.v.det()) == 1, rows
+        assert snf_cli(monkeypatch, capsys, text, fmt) == render(res, fmt)
 
 
 def dense_planted(rng, n, diag):
@@ -243,8 +283,8 @@ HERMITE_INPUTS = [
         [[5, 0, -2, 0], [0, 1, 0, 0]],
         {
             "d": [[1, 0, 0, 0], [0, 1, 0, 0]],
-            "u": [[0, 1], [-1, 0]],
-            "v": [[0, 1, -2, 0], [1, 0, 0, 0], [0, 3, -5, 0], [0, 0, 0, 1]],
+            "u": [[1, 0], [0, 1]],
+            "v": [[1, 0, 2, 0], [0, 1, 0, 0], [2, 0, 5, 0], [0, 0, 0, 1]],
             "diagonal": [1, 1],
         },
     ),
@@ -357,18 +397,11 @@ def test_sympy_oracle():
     assert shapes == {"tall", "wide", "square"}
 
 
-def largest_pivot(m, t, rows):
-    """A broken pivot search: the entry of largest absolute value."""
-    cells = [(abs(m[i][j]), i, j) for i in range(t, rows) for j in range(t, len(m[i])) if m[i][j]]
-    if not cells:
-        return None
-    _a, i, j = max(cells)
-    return i, j
-
-
 @pytest.mark.parametrize("rows", [[[2, 3]], [[4, 6, 9], [10, 15, 7]], [[3, 0], [0, 5]]])
 def test_pivot_that_does_not_shrink_fails_fast(rows, monkeypatch):
-    monkeypatch.setattr(intlin, "_min_pivot", largest_pivot)
+    # a broken round that changes nothing; [[3, 0], [0, 5]] is diagonal but
+    # breaks the chain, which only a round can mend
+    monkeypatch.setattr(intlin, "_smith_round", lambda m, u, vt: (m, u, vt))
     start = time.perf_counter()
     with pytest.raises(RuntimeError, match="did not shrink at diagonal position 0"):
         cokernel_invariants(IntMatrix.from_rows(rows), len(rows[0]))

@@ -322,12 +322,27 @@ EPLUS_PRESENTATIONS = {
     (3, 3, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
     " a a alpha, b b beta beta beta, alpha^-1 alpha^-1 alpha^-1, beta^-1, a a a, b >",
     (5, 1, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
-    " a a alpha^-1, b b beta, alpha alpha alpha alpha alpha, beta^-1, a a a a a, b >",
+    " a a alpha, b b beta, alpha^-1 alpha^-1 alpha^-1 alpha^-1 alpha^-1, beta^-1, a a a a a, b >",
     (2, 1, "even", 0): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
     " a a alpha alpha, b b beta, alpha^-1 alpha^-1 alpha^-1 alpha^-1, beta^-1, b, a alpha^-1 >",
     (2, 1, "even", 1): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
     " a a beta^-1 alpha alpha, b b beta, beta beta alpha^-1 alpha^-1 alpha^-1 alpha^-1,"
     " beta^-1, b, a b beta alpha^-1 >",
+    (1, 2, "even", 0): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha alpha alpha alpha, b b beta, alpha^-1 alpha^-1, beta^-1, b, a alpha >",
+    (1, 2, "even", 1): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a beta beta alpha alpha alpha alpha, b b beta, beta^-1 alpha^-1 alpha^-1,"
+    " beta^-1, b, a b beta alpha >",
+}
+
+# The same three presentations as built from the V of the pivot-search Smith
+# kernel (tests/reference_snf.py) that intlin used before the alternating
+# Hermite kernel.  The quotient map of eplus_presentation reads columns 2-3
+# of the Smith V, which is not unique; the two kernels' choices differ by
+# alpha -> alpha^-1, an automorphism of <alpha, beta> = Z^2.
+PIVOT_KERNEL_PRESENTATIONS = {
+    (5, 1, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha^-1, b b beta, alpha alpha alpha alpha alpha, beta^-1, a a a a a, b >",
     (1, 2, "even", 0): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
     " a a alpha^-1 alpha^-1 alpha^-1 alpha^-1, b b beta, alpha alpha, beta^-1, b, a alpha^-1 >",
     (1, 2, "even", 1): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
@@ -357,6 +372,18 @@ class TestEplusPresentation:
         assert inv.free_rank == 0 and inv.torsion == torsion
         assert fpgroup.todd_coxeter_order(pres) == order
         assert fpgroup.cyclic_given_order(order, inv)
+
+    @pytest.mark.parametrize("key", sorted(PIVOT_KERNEL_PRESENTATIONS, key=str))
+    def test_glue_is_the_pivot_kernel_glue_with_alpha_inverted(self, key):
+        """Every other parameter set is built as before, and these three
+        are the old presentations with alpha -> alpha^-1 in every glue
+        relator, so each group is the same."""
+        head, relators = PIVOT_KERNEL_PRESENTATIONS[key][:-2].split(" | ")
+        relators = relators.split(", ")
+        flip = {"alpha": "alpha^-1", "alpha^-1": "alpha"}
+        glue = [" ".join(flip.get(x, x) for x in r.split()) for r in relators[2:]]
+        assert EPLUS_PRESENTATIONS[key] == f"{head} | {', '.join(relators[:2] + glue)} >"
+        assert glue != relators[2:]
 
     def test_even_needs_glue_choice(self):
         with pytest.raises(InvalidParams):
