@@ -14,8 +14,10 @@ g^2 itself counting as m = 2), the cosets of H = <u> are enumerated
 instead of those of the trivial subgroup (Neubüser 1982; Handbook of CGT,
 ch. 5).  u permutes the n cosets of H; the order k of that permutation
 divides ord(u), which divides m, so k = m proves |H| = m and
-|G| = n * m.  When k < m the trivial subgroup is enumerated after all, on
-the same table.  ``max_cosets`` bounds the live cosets of whichever
+|G| = n * m.  When n = 1, G = <u> is cyclic, and finite since u^m = 1,
+so |G| is the order of its abelianization, read off the relator exponent
+matrix with no second enumeration.  Otherwise, when k < m, the trivial
+subgroup is enumerated after all, on the same table.  ``max_cosets`` bounds the live cosets of whichever
 enumeration runs: the one over H usually needs fewer, so it can close
 where the trivial one would not, and a limit it hits is final.
 
@@ -560,7 +562,8 @@ class _CosetTable:
 def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
     """Group order by coset enumeration, over <u> for the highest proper
     power u^m among the relators when u's permutation of the cosets proves
-    |<u>| = m, else over the trivial subgroup (see the module docstring).
+    |<u>| = m or <u> has index 1, else over the trivial subgroup (see the
+    module docstring).
 
     Raises CosetLimitExceeded when the enumeration does not close within
     ``max_cosets`` live cosets (infinite group, or limit too low).
@@ -577,6 +580,9 @@ def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
         index = table.enumerate()
         if table.subgroup_period() == m:
             return index * m
+        if index == 1:
+            # G = <u> is cyclic, so abelian, and finite as u^m = 1
+            return abelianization(p).order()
         table.restart()
     return table.enumerate()
 

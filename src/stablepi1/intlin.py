@@ -12,14 +12,24 @@ basis pivot by pivot: by exact division where the basis pivot divides its
 entry, otherwise by a 2 x 2 extended-gcd step that leaves the gcd as the new
 pivot and carries the remainder row on.  A row that reaches a column with no
 pivot joins the basis there.  Before the next row comes in, every row the
-insertion changed is reduced by the rows below it, and the rows above by
-it, so entries stay near the size of the final form's; eliminating one
-column at a time across all rows lets them grow to hundreds of bits first
-(Havas, Majewski and Matthews, Experimental Math. 7, 1998).  A basis row
-with few nonzero entries past its pivot is subtracted entry by entry over
-those columns only, so sparse input does not pay for its zeros.  Pivots
-are sought in the leading columns only, so the columns after them ride
-along and record the transform.
+insertion changed is reduced by the rows below it, so entries stay near
+the size of the final form's; eliminating one column at a time across all
+rows lets them grow to hundreds of bits first (Havas, Majewski and
+Matthews, Experimental Math. 7, 1998).  A basis row with few nonzero
+entries past its pivot is subtracted entry by entry over those columns
+only, so sparse input does not pay for its zeros.  Pivots are sought in
+the leading columns only, so the columns after them ride along and record
+the transform.
+
+The rows above the changed ones are reduced on one of two schedules.  When
+columns ride along, they are reduced by the changed rows before the next
+row comes in, as Kannan and Bachem do: a transform is not unique, and
+left unreduced its entries grow (U of a rank-deficient 40 x 40 matrix
+went from 43 to 2144 bits).  When none ride along, as for the
+cokernel, the Hermite form and the rider-free Smith rounds, the other rows
+are left as they are, so they cannot grow, and every row is reduced once,
+bottom up, after the last insertion; H is unique, so both schedules return
+the same form.
 
 A Smith form alternates the kernel, as Kannan and Bachem do: ``_smith_rows``
 inserts the columns of the matrix, with the rows of V^T riding along, then
@@ -31,13 +41,18 @@ the first unsettled position and its pivot as they were raises
 included, is that of the Hermite rows H of the input, not of the raw
 matrix, so U and V stay near the size of H's entries:
 
-- ``cokernel_invariants``: the diagonal, no transform;
+- ``cokernel_invariants``: the diagonal, no transform.  A row of H with
+  pivot 1 has that pivot's column equal to its unit vector, so the pair
+  leaves Z^n / L as it was; those pairs are dropped first (``_deflate``),
+  and the kernel runs on what is left, at most a 1 x 1 matrix for the
+  relation matrices of the catalogue's groups;
 - ``smith_normal_form``: U and V.  The Hermite step carries U1 with U1*A = H
   (each input row is followed by its row of the identity), and U starts
   from U1, so U2*U1 comes back.  When A already is a Hermite form, as
   ``saturation`` returns, that step would hand back [A | I] and no kernel
   rows, so H = A and U1 = I are taken without running it;
-- ``saturation``: U started from the rows of H, so U*H comes back.
+- ``saturation``: U started from the rows of H, so U*H comes back; when
+  every pivot of H is 1, Z^n / L is free and H is returned as it is.
 
 ``membership`` needs no Smith form: the augmented Hermite step hands back a
 basis of the left kernel of A, and that is all it reads.
@@ -468,14 +483,41 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     )
 
 
+def _deflate(h):
+    """The Hermite rows ``h`` without their unit pivots: the rows whose
+    pivot is not 1, with the pivot columns of those whose pivot is 1 left
+    out.  A row with pivot 1 at column p has column p equal to its unit
+    vector, every entry above the pivot being reduced into [0, 1), so it
+    identifies generator p with a combination of the others and nothing
+    else mentions p: dropping the pair leaves Z^n / L as it was (Havas,
+    Majewski and Matthews, 1998).  What is left is a Hermite form of full
+    row rank again."""
+    units = set()  # pivot columns of the rows with pivot 1
+    rest = []
+    p = 0
+    for row in h:
+        while not row[p]:
+            p += 1
+        if row[p] == 1:
+            units.add(p)
+        else:
+            rest.append(row)
+    if not units:
+        return h
+    keep = [j for j in range(len(h[0])) if j not in units]
+    return [[row[j] for j in keep] for row in rest]
+
+
 def cokernel_invariants(a: IntMatrix, ambient_rank: int) -> AbelianInvariants:
     """Invariants of Z^ambient_rank modulo the row span of ``a``: the Smith
-    diagonal of the Hermite rows of ``a``, which span the same lattice."""
+    diagonal of the Hermite rows of ``a``, which span the same lattice, with
+    their unit pivots dropped first (``_deflate``)."""
     if a.cols != ambient_rank:
         raise ValueError("rows of a must live in Z^ambient_rank")
     h, _kernel = _hermite_rows(a.to_rows(), a.cols)
-    diag = _smith_rows(h)[0]
-    return AbelianInvariants(ambient_rank - len(diag), tuple(d for d in diag if d > 1))
+    m = _deflate(h)
+    diag = _smith_rows(m)[0] if m else ()
+    return AbelianInvariants(ambient_rank - len(h), tuple(d for d in diag if d > 1))
 
 
 def _sparse_columns(row, p):
@@ -489,6 +531,27 @@ def _sparse_columns(row, p):
     return False if 3 * len(cols) > width else cols
 
 
+def _reduce_row(basis, pivots, sparse, k, start):
+    """Basis row k minus multiples of rows ``start``, ``start`` + 1, ... that
+    take its entries at their pivots into [0, pivot), in place."""
+    h = basis[k]
+    for j in range(start, len(basis)):
+        pj = pivots[j]
+        row = basis[j]
+        q = h[pj] // row[pj]
+        if q:
+            cols = sparse[j]
+            if cols is None:
+                cols = sparse[j] = _sparse_columns(row, pj)
+            if cols:
+                for x in cols:
+                    h[x] -= q * row[x]
+            else:
+                h[pj:] = [x - q * y for x, y in zip(h[pj:], row[pj:])]
+            if sparse[k]:
+                sparse[k] = None
+
+
 def _hermite_rows(rows, width):
     """Hermite form of the row span of ``rows``, by row insertion; returns
     (basis, kernel).
@@ -497,10 +560,19 @@ def _hermite_rows(rows, width):
     operations act on whole rows, so columns past ``width`` follow along.
     Rows come in nondecreasing length; one longer than the basis rows pads
     them with zeros.  Each row is reduced against the basis, pivot column by
-    pivot column, and the basis is reduced again before the next row comes
-    in.  A row that becomes zero in the first ``width`` columns goes to
-    ``kernel``.  ``rows`` is a list of lists that the kernel owns: it
-    changes them in place.
+    pivot column.  A row that becomes zero in the first ``width`` columns
+    goes to ``kernel``.  ``rows`` is a list of lists that the kernel owns:
+    it changes them in place.
+
+    The basis is reduced on one of two schedules, chosen by whether columns
+    ride along.  When they do, the whole basis is reduced again before the
+    next row comes in, so the riders stay near the size of the final
+    form's.  When every row has exactly ``width`` entries, only the rows an
+    insertion changed are reduced then, by the rows below them, and every
+    row is reduced once, bottom up, after the last one: the other rows do
+    not change until then, so they cannot grow, and H is unique, so both
+    schedules return it.  Riders are not unique, and deferring their
+    reduction lets them grow.
     """
     basis = []  # the Hermite rows, in pivot order
     pivots = []  # pivot column of each basis row
@@ -509,6 +581,7 @@ def _hermite_rows(rows, width):
     sparse = []
     kernel = []
     size = 0  # length of the basis rows
+    defer = not rows or len(rows[-1]) == width  # the last row is the longest
     for v in rows:
         if len(v) > size:
             pad = [0] * (len(v) - size)
@@ -565,6 +638,10 @@ def _hermite_rows(rows, width):
                     v[p:] = [y - q * x for x, y in zip(h[p:], v[p:])]
             i += 1
             p += 1
+        if defer:
+            for k in reversed(changed):
+                _reduce_row(basis, pivots, sparse, k, k + 1)
+            continue
         if not changed:
             continue
         # bottom up from the last changed row.  A changed row is reduced by
@@ -573,30 +650,17 @@ def _hermite_rows(rows, width):
         # it, by every row from that one on; its own pivot entry stays, so
         # the rows above it need nothing more.
         for k in range(changed[-1], -1, -1):
-            h = basis[k]
             if k in changed:
-                start = k + 1
-            else:
-                start = n
-                for j in changed:
-                    if j > k and h[pivots[j]] // basis[j][pivots[j]]:
-                        start = j
-                        break
-            for j in range(start, n):
-                pj = pivots[j]
-                row = basis[j]
-                q = h[pj] // row[pj]
-                if q:
-                    cols = sparse[j]
-                    if cols is None:
-                        cols = sparse[j] = _sparse_columns(row, pj)
-                    if cols:
-                        for x in cols:
-                            h[x] -= q * row[x]
-                    else:
-                        h[pj:] = [x - q * y for x, y in zip(h[pj:], row[pj:])]
-                    if sparse[k]:
-                        sparse[k] = None
+                _reduce_row(basis, pivots, sparse, k, k + 1)
+                continue
+            h = basis[k]
+            for j in changed:
+                if j > k and h[pivots[j]] // basis[j][pivots[j]]:
+                    _reduce_row(basis, pivots, sparse, k, j)
+                    break
+    if defer:
+        for k in range(len(basis) - 2, -1, -1):
+            _reduce_row(basis, pivots, sparse, k, k + 1)
     return basis, kernel
 
 
@@ -679,6 +743,9 @@ def saturation(a: IntMatrix) -> IntMatrix:
     saturation.
     """
     h, _kernel = _hermite_rows(a.to_rows(), a.cols)
+    if not _deflate(h):
+        # every pivot is 1: Z^n / L is free, so L is its own saturation
+        return IntMatrix._of_rows(h, a.cols)
     # U started from the rows of H comes back as U*H
     diag, uh, _vt = _smith_rows(h, h)
     if all(d == 1 for d in diag):

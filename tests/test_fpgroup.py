@@ -321,11 +321,21 @@ class TestPowerSubgroup:
         assert over_power(p) == ((2,), 6, 4, 1)
         assert todd_coxeter_order(p) == 24
 
-    def test_index_one_falls_back(self):
+    def test_index_one_reads_the_abelianization(self, monkeypatch):
+        # index 1 means G = <u>: cyclic, so |G| = |G^ab|, and no enumeration
+        # of the trivial subgroup follows
+        def restart(self, subgroup=()):
+            raise AssertionError("enumerated the trivial subgroup")
+
+        monkeypatch.setattr(_CosetTable, "restart", restart)
         # b = a^2, so <a> is the whole group: Z/6
         p = Presentation("ab", [(1,) * 6, (-2, 1, 1)])
         assert over_power(p) == ((1,), 6, 1, 1)
         assert todd_coxeter_order(p) == 6
+        # a^6 is the highest power, but a^4 = 1 too and b = a: Z/2
+        p = Presentation("ab", [(1,) * 6, (1,) * 4, (2, -1)])
+        assert over_power(p) == ((1,), 6, 1, 1)
+        assert todd_coxeter_order(p) == 2
 
     def test_proved_power(self):
         p = Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * 8])

@@ -7,10 +7,17 @@ the same matrix, bit for bit, on every seeded input: the Smith-kernel
 corpus, planted dense, rank-deficient and sparse matrices up to 20 x 20,
 sparse ones up to 45 x 45, entries up to 10^6 in absolute value, and empty
 and all-zero shapes.
-``cokernel_invariants`` reads the Smith diagonal of the Hermite rows; it
-must match the diagonal the reference Smith kernel gives on the input
-itself.  Row permutations and unimodular row operations leave the lattice,
-and so its Hermite form, unchanged.
+``cokernel_invariants`` reads the Smith diagonal of the Hermite rows, with
+the unit pivots dropped first; it must match the diagonal the reference
+Smith kernel gives on the input itself, on lattices whose Hermite pivots
+are all 1, some 1 and none 1 among the rest.  Row permutations and
+unimodular row operations leave the lattice, and so its Hermite form,
+unchanged.
+
+The kernel reduces on two schedules: the whole basis after every insertion
+when columns ride along, or the changed rows only and every row once at
+the end when none do.  H is unique, so the rider-free basis must equal the
+first ``width`` columns of the basis with the identity riding along.
 """
 
 import random
@@ -19,7 +26,18 @@ import pytest
 
 from reference_hnf import reference_hermite_normal_form
 from reference_snf import reference_snf_core
-from stablepi1.intlin import AbelianInvariants, IntMatrix, cokernel_invariants, hermite_normal_form
+from stablepi1 import intlin
+from stablepi1.intlin import (
+    AbelianInvariants,
+    IntMatrix,
+    _deflate,
+    _hermite_rows,
+    _hermite_with_identity,
+    _is_hermite,
+    cokernel_invariants,
+    hermite_normal_form,
+    saturation,
+)
 from test_snf_kernel import CORPUS, matmul, planted, random_rows, unimodular
 
 
@@ -29,6 +47,45 @@ def sparse(rng, r, c):
     for _ in range(rng.randint(1, r + c)):
         rows[rng.randrange(r)][rng.randrange(c)] = rng.choice((-2, -1, 1, 2))
     return rows
+
+
+def scrambled_hermite(rng, c, pivots, extra):
+    """Rows whose Hermite form has ``pivots`` on its diagonal, in random
+    increasing columns of c: that form times a unimodular matrix, with
+    ``extra`` integer combinations of its rows mixed in."""
+    cols = sorted(rng.sample(range(c), len(pivots)))
+    h = []
+    for p, d in zip(cols, pivots):
+        h.append([0] * p + [d] + [rng.randint(-9, 9) for _ in range(p + 1, c)])
+    for i, (p, d) in enumerate(zip(cols, pivots)):
+        for k in range(i):
+            q = h[k][p] // d
+            h[k] = [x - q * y for x, y in zip(h[k], h[i])]
+    rows = matmul(unimodular(len(h), rng), h)
+    rows += matmul(random_rows(rng, extra, len(h), -2, 2), h) if extra else []
+    rng.shuffle(rows)
+    return rows
+
+
+def some_units(rng, n):
+    pivots = [1, rng.choice((2, 3, 5))] + [rng.choice((1, 2, 3, 4, 6)) for _ in range(n - 2)]
+    rng.shuffle(pivots)
+    return pivots
+
+
+def pivot_cases(rng):
+    """Lattices whose Hermite pivots are all 1, some 1 and none 1."""
+    cases = []
+    for label, choose in (
+        ("unit pivots", lambda rng, n: [1] * n),
+        ("some unit pivots", some_units),
+        ("no unit pivots", lambda rng, n: [rng.choice((2, 3, 4, 5, 6)) for _ in range(n)]),
+    ):
+        for _ in range(15):
+            c = rng.randint(2, 20)
+            n = rng.randint(2, c)
+            cases.append((label, scrambled_hermite(rng, c, choose(rng, n), rng.randint(0, n)), c))
+    return cases
 
 
 def hnf_corpus():
@@ -54,7 +111,7 @@ def hnf_corpus():
     for _ in range(20):
         r, c = rng.randint(20, 45), rng.randint(20, 45)
         cases.append(("wide sparse", sparse(rng, r, c), c))
-    return cases
+    return cases + pivot_cases(rng)
 
 
 HNF_CORPUS = hnf_corpus()
@@ -64,7 +121,7 @@ def test_corpus_covers_every_shape():
     assert len(HNF_CORPUS) >= 440
     assert {label for label, _rows, _cols in HNF_CORPUS} >= {
         "empty", "0x5", "4x0", "zero 3x4", "planted dense", "rank-deficient", "sparse",
-        "large entries", "wide sparse",
+        "large entries", "wide sparse", "unit pivots", "some unit pivots", "no unit pivots",
     }
     assert max(len(rows) for label, rows, _cols in HNF_CORPUS if label == "planted dense") == 20
 
@@ -94,3 +151,84 @@ def test_row_operations_leave_the_hermite_form_unchanged():
         rng.shuffle(moved)
         want = hermite_normal_form(IntMatrix.from_rows(rows, cols=cols))
         assert hermite_normal_form(IntMatrix.from_rows(moved, cols=cols)) == want, label
+
+
+def pivots_of(h):
+    return [next(x for x in row if x) for row in h]
+
+
+def test_pivot_cases_have_the_pivots_they_are_named_for():
+    seen = set()
+    for label, rows, cols in HNF_CORPUS:
+        if label.endswith("unit pivots"):
+            h = hermite_normal_form(IntMatrix.from_rows(rows, cols=cols)).to_rows()
+            units = [d == 1 for d in pivots_of(h)]
+            kind = "unit pivots" if all(units) else "no unit pivots" if not any(units) else "some unit pivots"
+            assert kind == label
+            seen.add(label)
+    assert len(seen) == 3
+
+
+@pytest.mark.parametrize("index", range(len(HNF_CORPUS)))
+def test_deflation_keeps_the_other_pivots(index):
+    label, rows, cols = HNF_CORPUS[index]
+    h = _hermite_rows([list(row) for row in rows], cols)[0]
+    m = _deflate(h)
+    assert m == [] or _is_hermite(m)
+    assert pivots_of(m) == [d for d in pivots_of(h) if d != 1], label
+    if m:
+        assert len(m[0]) == cols - (len(h) - len(m))
+
+
+def test_all_unit_pivots_never_reach_the_smith_kernel(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("entered _smith_rows")
+
+    monkeypatch.setattr(intlin, "_smith_rows", refuse)
+    cases = [(rows, cols) for label, rows, cols in HNF_CORPUS if label == "unit pivots"]
+    assert len(cases) >= 15
+    for rows, cols in cases:
+        a = IntMatrix.from_rows(rows, cols=cols)
+        h = hermite_normal_form(a)
+        assert cokernel_invariants(a, cols) == AbelianInvariants(cols - h.rows, ())
+        assert saturation(a) == h
+
+
+def schedule_corpus():
+    """200 seeded matrices: tall, wide, rank-deficient and with zero rows."""
+    rng = random.Random(18)
+    cases = []
+    for _ in range(50):
+        c = rng.randint(1, 12)
+        cases.append(("tall", random_rows(rng, rng.randint(c + 1, 3 * c), c, -2, 2), c))
+    for _ in range(50):
+        r = rng.randint(1, 10)
+        c = rng.randint(r + 1, 2 * r + 4)
+        cases.append(("wide", random_rows(rng, r, c), c))
+    for _ in range(50):
+        r, c = rng.randint(2, 14), rng.randint(2, 14)
+        k = rng.randint(1, min(r, c) - 1)
+        rows = matmul(random_rows(rng, r, k, -5, 5), random_rows(rng, k, c, -5, 5))
+        cases.append(("rank-deficient", rows, c))
+    for _ in range(50):
+        r, c = rng.randint(1, 10), rng.randint(1, 10)
+        rows = random_rows(rng, r, c)
+        for _ in range(rng.randint(1, 3)):
+            rows.insert(rng.randint(0, len(rows)), [0] * c)
+        cases.append(("zero rows", rows, c))
+    return cases
+
+
+SCHEDULE_CORPUS = HNF_CORPUS + schedule_corpus()
+
+
+@pytest.mark.parametrize("index", range(len(SCHEDULE_CORPUS)))
+def test_rider_free_basis_is_the_augmented_basis_cut_to_width(index):
+    # no riders: changed rows reduced after each insertion, every row at the
+    # end; the identity riding along: the whole basis after each insertion
+    label, rows, cols = SCHEDULE_CORPUS[index]
+    a = IntMatrix.from_rows(rows, cols=cols)
+    basis, kernel = _hermite_rows(a.to_rows(), cols)
+    with_identity, identity_kernel = _hermite_with_identity(a)
+    assert basis == [row[:cols] for row in with_identity], label
+    assert len(kernel) == len(identity_kernel) and not any(map(any, kernel)), label

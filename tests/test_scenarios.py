@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from stablepi1 import torus
+from stablepi1 import fpgroup, torus
 from stablepi1.scenarios import (
     BiTriPayload,
     ParseError,
@@ -416,3 +416,23 @@ class TestParserTotality:
                     escapes.append((src.name, label, f"{type(exc).__name__}: {exc}"))
         assert count > 700
         assert not escapes, escapes[:10]
+
+
+def test_cyclic_groups_over_their_power_enumerate_once(monkeypatch):
+    # In E2-E5 the cosets of <u> number 1: G = <u> is cyclic, and its order
+    # is the abelianization's.  P3 (index 3, u fixes every coset) still
+    # enumerates the trivial subgroup after <u>.
+    restarted = []
+    restart = fpgroup._CosetTable.restart
+
+    def recorded(self, subgroup=()):
+        restarted.append(self)
+        return restart(self, subgroup)
+
+    monkeypatch.setattr(fpgroup._CosetTable, "restart", recorded)
+    for s in load_catalogue():
+        if s.id in ("E2", "E3", "E4", "E5", "P3"):
+            restarted.clear()
+            report = run_scenario(s)
+            assert report.passed and report.order == EXPECTED_ORDERS[s.id], s.id
+            assert len(restarted) == (s.id == "P3"), s.id
