@@ -8,16 +8,27 @@ abelian invariants come from the Smith form of the relator exponent
 matrix.  Coset numbering is deterministic: rows are processed lowest first
 and columns in declared generator order, so coset tables are reproducible.
 
-With two or more generators and a relator that is a proper power u^m (the
-highest one: largest m, the first on ties, relators read modulo g^2 = 1 and
-g^2 itself counting as m = 2), the cosets of H = <u> are enumerated
-instead of those of the trivial subgroup (Neubüser 1982; Handbook of CGT,
-ch. 5).  u permutes the n cosets of H; the order k of that permutation
-divides ord(u), which divides m, so k = m proves |H| = m and
-|G| = n * m.  When n = 1, G = <u> is cyclic, and finite since u^m = 1,
-so |G| is the order of its abelianization, read off the relator exponent
-matrix with no second enumeration.  Otherwise, when k < m, the trivial
-subgroup is enumerated after all, on the same table.  ``max_cosets`` bounds the live cosets of whichever
+With two or more generators and a relator that is a proper power u^m,
+relators read modulo g^2 = 1, the cosets of a subgroup H of bounded order
+are enumerated instead of those of the trivial subgroup (Neubüser 1982;
+Handbook of CGT, ch. 5).  When m >= 3 and u = x y splits into two
+conjugates w g w^-1 of involutions g, H = <x, y>, a quotient of the
+dihedral group D_m, so |H| <= 2m; otherwise H = <u> and |H| <= m.  The root
+with the largest bound is taken, the first on ties, g^2 itself counting as
+m = 2.  u permutes the n cosets of H, and the order k of that permutation
+divides ord(u), which divides m.  Over <u>, k = m proves |H| = m and
+|G| = n * m.  Over <x, y>, the permutations of x and y are involutions or
+the identity, since x^2 = y^2 = 1, and their product has order k; when
+k = m >= 3 neither is the identity and together they generate a dihedral
+group of order 2m, an image of H: |H| = 2m and |G| = n * 2m.  m = 2 is left
+out: an involution times the identity has order 2 as well, so k = 2 does
+not rule out a trivial permutation of x or y.
+When n = 1 over <u>, G = <u> is cyclic, and finite since u^m = 1, so |G|
+is the order of its abelianization, read off the relator exponent matrix
+with no second enumeration; over <x, y>, G = H need not be cyclic (S_3 =
+<a, b | a^2, b^2, (ab)^3> has abelianization Z/2), and k = 1 < m.
+Otherwise, when k < m, the trivial subgroup is enumerated after all, on
+the same table.  ``max_cosets`` bounds the live cosets of whichever
 enumeration runs: the one over H usually needs fewer, so it can close
 where the trivial one would not, and a limit it hits is final.
 
@@ -238,29 +249,51 @@ def _root(word):
     return word, 1
 
 
-def _highest_power(words):
-    """(u, m) for the word u^m with the largest m >= 2, the first on ties,
-    or None."""
+def _dihedral_split(u, involutions):
+    """(x, y) with u = x y and x, y each w g w^-1 for an involution g, with
+    g^-1 written g as in the rewritten relators; None when u has no split."""
+
+    def conjugates_involution(w):  # w of odd length
+        h = len(w) // 2
+        return w[h] in involutions and all(
+            w[-1 - i] == (x if x in involutions else -x) for i, x in enumerate(w[:h])
+        )
+
+    if len(u) % 2 == 0:
+        for i in range(1, len(u), 2):
+            if conjugates_involution(u[:i]) and conjugates_involution(u[i:]):
+                return u[:i], u[i:]
+    return None
+
+
+def _power_subgroup(words, involutions):
+    """(gens, m): the generator words of the subgroup H to enumerate over,
+    for the root u of a relator u^m with m >= 2.  gens is a split (x, y) of
+    u when m >= 3 (|H| <= 2m), else (u,) (|H| <= m).  The largest bound
+    wins, the first on ties; None when no relator is a proper power."""
     best, top = None, 1
     for w in words:
         u, m = _root(w)
-        if m > top:
-            best, top = u, m
-    return None if best is None else (best, top)
+        gens = (_dihedral_split(u, involutions) if m >= 3 else None) or (u,)
+        if m * len(gens) > top:
+            best, top = (gens, m), m * len(gens)
+    return best
 
 
 _INITIAL_ROWS = 16
 
 
 class _CosetTable:
-    """HLT coset table over the trivial subgroup, or over <u> for a nonempty
-    ``subgroup`` word u (Handbook of CGT, ch. 5).
+    """HLT coset table over the trivial subgroup, or over the subgroup that
+    the words of a nonempty tuple ``subgroup`` generate: <u> for one word,
+    <x, y> for two (Handbook of CGT, ch. 5).
 
     Cosets are numbered from 1 (the subgroup itself) and 0 means undefined.
-    u must be reduced as the relators are, freely and cyclically, modulo
-    g^2 = 1 over every involution g; it is scanned and filled at coset 1
-    before the first relator.  ``restart`` empties the table for another
-    enumeration of the same presentation.
+    The words must be reduced as the relators are, freely and cyclically,
+    modulo g^2 = 1 over every involution g; each in turn is scanned and
+    filled at coset 1 before the first relator.  ``subgroup_period`` reads
+    the permutation of their product in that order, u = x y.  ``restart``
+    empties the table for another enumeration of the same presentation.
     The table is stored by column: ``cols[c][k]`` is the image of coset k
     under column c.  Each generator has a column, followed by one for its
     inverse, except an involution: a generator g with a relator g^2 (or
@@ -291,9 +324,11 @@ class _CosetTable:
 
     def __init__(self, ngens, relators, max_cosets, subgroup=()):
         self.max = max_cosets
-        involutions = {abs(w[0]) for w in relators if len(w) == 2 and w[0] == w[1]}
+        self.involutions = involutions = {
+            abs(w[0]) for w in relators if len(w) == 2 and w[0] == w[1]
+        }
         # the relators as the table reads them, in their order, g^2 kept as
-        # (g, g) for _highest_power although no scan needs it.  Only those
+        # (g, g) for _power_subgroup although no scan needs it.  Only those
         # with a letter of an involution are rewritten: the others are
         # reduced already, and re-walking them would cost for nothing.
         self.words = words = relators
@@ -332,17 +367,19 @@ class _CosetTable:
         self._start(subgroup)
 
     def _start(self, subgroup):
-        """Set up an enumeration over <subgroup> on an empty table."""
+        """Set up an enumeration over the subgroup the words ``subgroup``
+        generate on an empty table."""
         col = self.column
-        # the columns of u's letters and of their inverses; () for no u
-        self.subgroup = subgroup and ([col[x] for x in subgroup], [col[-x] for x in subgroup])
+        # per word: the columns of its letters and of their inverses
+        self.subgroup = [([col[x] for x in w], [col[-x] for x in w]) for w in subgroup]
         self.p = [0, 1]
         self.top = 1  # highest coset number in use
         self.nlive = 1
 
     def restart(self, subgroup=()):
-        """Empty the table for an enumeration over <subgroup>.  Columns and
-        flags are emptied in place, so ``rels`` and ``pairs`` stay bound."""
+        """Empty the table for an enumeration over the subgroup the words
+        ``subgroup`` generate.  Columns and flags are emptied in place, so
+        ``rels`` and ``pairs`` stay bound."""
         for c in self.cols + self.flags:
             c[:] = bytes(_INITIAL_ROWS)
         self._start(subgroup)
@@ -505,8 +542,8 @@ class _CosetTable:
 
     def enumerate(self):
         p, scan = self.p, self._scan
-        if self.subgroup:
-            scan(1, *self.subgroup, True)
+        for fwd, bwd in self.subgroup:
+            scan(1, fwd, bwd, True)
         alpha = 1
         while alpha <= self.top:
             if p[alpha] != alpha:
@@ -541,9 +578,11 @@ class _CosetTable:
         return self.nlive
 
     def subgroup_period(self):
-        """Order of the permutation the subgroup word induces on the live
-        cosets of a closed table: the lcm of its cycle lengths."""
-        p, cols = self.p, self.subgroup[0]
+        """Order of the permutation that the product of the subgroup words,
+        in their order, induces on the live cosets of a closed table: the
+        lcm of its cycle lengths."""
+        p = self.p
+        cols = [col for fwd, _bwd in self.subgroup for col in fwd]
         seen = bytearray(self.top + 1)
         order = 1
         for k in range(1, self.top + 1):
@@ -560,10 +599,13 @@ class _CosetTable:
 
 
 def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
-    """Group order by coset enumeration, over <u> for the highest proper
-    power u^m among the relators when u's permutation of the cosets proves
-    |<u>| = m or <u> has index 1, else over the trivial subgroup (see the
-    module docstring).
+    """Group order by coset enumeration over H, for the power relator u^m
+    with the largest bound on |H|: H = <x, y> of order 2m when m >= 3 and
+    u = x y splits into two conjugates of involutions, else H = <u> of
+    order m.  The bound holds when u's permutation of the cosets has order
+    m, and over <u> also when <u> has index 1 (G is then cyclic); otherwise
+    the trivial subgroup is enumerated (see the module docstring for the
+    proof).
 
     Raises CosetLimitExceeded when the enumeration does not close within
     ``max_cosets`` live cosets (infinite group, or limit too low).
@@ -573,14 +615,14 @@ def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
     if p.ngens == 0:
         return 1
     table = _CosetTable(p.ngens, p.relators, max_cosets)
-    power = _highest_power(table.words) if p.ngens >= 2 else None
+    power = _power_subgroup(table.words, table.involutions) if p.ngens >= 2 else None
     if power is not None:
-        u, m = power
-        table._start(u)  # nothing to empty yet
+        gens, m = power
+        table._start(gens)  # nothing to empty yet
         index = table.enumerate()
         if table.subgroup_period() == m:
-            return index * m
-        if index == 1:
+            return index * m * len(gens)  # |H| = m, or 2m over a split
+        if index == 1 and len(gens) == 1:
             # G = <u> is cyclic, so abelian, and finite as u^m = 1
             return abelianization(p).order()
         table.restart()

@@ -10,9 +10,10 @@ and the other relators are rewritten over g and reduced modulo g^2 = 1.
 Otherwise it is the replaced enumerator verbatim, with ``col ^ 1`` read
 from the ``inverse`` list.
 
-With a nonempty ``subgroup`` word u it enumerates the cosets of <u>: before
-the first relator it scans u at coset 0 and fills its gaps, one definition
-at a time.  In involution mode u's letters g^-1 are read as g.
+With a nonempty tuple ``subgroup`` of words it enumerates the cosets of the
+subgroup they generate: before the first relator it scans each word in turn
+at coset 0 and fills its gaps, one definition at a time.  In involution mode
+the words' letters g^-1 are read as g.
 """
 
 from collections import deque
@@ -51,8 +52,8 @@ def reduce_mod_involutions(word, involutions):
 
 
 class ReferenceCosetTable:
-    """HLT coset table over the trivial subgroup or over <subgroup>
-    (Handbook of CGT, ch. 5)."""
+    """HLT coset table over the trivial subgroup or over the subgroup the
+    words ``subgroup`` generate (Handbook of CGT, ch. 5)."""
 
     def __init__(self, ngens, relators, max_cosets, involutions=False, subgroup=()):
         self.ncols = 2 * ngens
@@ -65,9 +66,9 @@ class ReferenceCosetTable:
                 self.unused.add(_column(-g))
             rewritten = (reduce_mod_involutions(w, gens) for w in relators)
             relators = [w for w in rewritten if w]
-            subgroup = [abs(x) if abs(x) in gens else x for x in subgroup]
+            subgroup = [[abs(x) if abs(x) in gens else x for x in w] for w in subgroup]
         self.rels = [[_column(letter) for letter in w] for w in relators]
-        self.subgroup = [_column(letter) for letter in subgroup]
+        self.subgroup = [[_column(letter) for letter in w] for w in subgroup]
         self.max = max_cosets
         self.table = [[None] * self.ncols]
         self.p = [0]
@@ -181,8 +182,8 @@ class ReferenceCosetTable:
         return new_alpha
 
     def enumerate(self):
-        if self.subgroup:
-            self._scan(0, self.subgroup, fill=True)
+        for word in self.subgroup:
+            self._scan(0, word, fill=True)
         alpha = 0
         while alpha < len(self.table):
             if self.p[alpha] != alpha:

@@ -4,9 +4,9 @@ reference it replaced, plus a replay of every finished table.
 A presentation with a relator g^2 is compared with the reference in
 involution mode, which shares g's column with g^-1 on its own code; its
 closed table, each shared column written out twice, must also equal the
-plain reference's.  Tables over a subgroup <u> are compared with the
-reference's subgroup mode, which scans and fills u at its first coset on its
-own code."""
+plain reference's.  Tables over a subgroup, given by one generator word or
+by two, are compared with the reference's subgroup mode, which scans and
+fills each word at its first coset on its own code."""
 
 import random
 
@@ -91,7 +91,7 @@ def replay(table, ngens, relators, subgroup=()):
     ``table.pairs`` is a column and its inverse (a shared column is an
     involution: col[col[k]] == k), exactly the generators with a relator
     g^2 share one, every relator, g^2 and g^-1 included, closes from
-    every coset, and the subgroup word closes at coset 1."""
+    every coset, and every subgroup word closes at coset 1."""
     live = [k for k in range(1, table.top + 1) if table.p[k] == k]
     assert len(live) == table.nlive
     assert [col for col, _inv in table.pairs] == table.cols
@@ -108,16 +108,18 @@ def replay(table, ngens, relators, subgroup=()):
             for col in cols:
                 coset = col[coset]
             assert coset == k
-    coset = 1
-    for x in subgroup:
-        coset = column[x][coset]
-    assert coset == 1
+    for w in subgroup:
+        coset = 1
+        for x in w:
+            coset = column[x][coset]
+        assert coset == 1
 
 
 def assert_same(ngens, relators, limit, subgroup=()):
     """Enumerate with the new table and the reference (in involution mode
-    when a generator has a relator g^2), over <subgroup>, and compare;
-    returns the new table, or None when both stopped at the limit."""
+    when a generator has a relator g^2), over the subgroup the words
+    ``subgroup`` generate, and compare; returns the new table, or None when
+    both stopped at the limit."""
     involutory = bool(involutions_of(relators))
     ref, ref_exc = run(
         ReferenceCosetTable(ngens, relators, limit, involutions=involutory, subgroup=subgroup)
@@ -174,18 +176,29 @@ def random_subgroup_word(rng, relators, ngens):
             return w
 
 
-@pytest.mark.parametrize("limit", [50, 200, 2000])
-def test_random_subgroups_match_reference(limit):
-    rng = random.Random(f"subgroup {limit}")
+def assert_random_subgroups_match(seed, limit, nwords):
+    """120 random presentations, each over a subgroup generated by
+    ``nwords`` random words; both outcomes and a nontrivial index occur."""
+    rng = random.Random(seed)
     closed = nontrivial = 0
     for _ in range(120):
         p = random_presentation(rng)
-        u = random_subgroup_word(rng, p.relators, p.ngens)
-        table = assert_same(p.ngens, p.relators, limit, u)
+        gens = tuple(random_subgroup_word(rng, p.relators, p.ngens) for _ in range(nwords))
+        table = assert_same(p.ngens, p.relators, limit, gens)
         if table is not None:
             closed += 1
             nontrivial += table.nlive > 1
     assert 0 < closed < 120 and nontrivial > 0
+
+
+@pytest.mark.parametrize("limit", [50, 200, 2000])
+def test_random_subgroups_match_reference(limit):
+    assert_random_subgroups_match(f"subgroup {limit}", limit, 1)
+
+
+@pytest.mark.parametrize("limit", [50, 200, 2000])
+def test_random_two_word_subgroups_match_reference(limit):
+    assert_random_subgroups_match(f"two-word subgroup {limit}", limit, 2)
 
 
 def coxeter(ngens, labels):
@@ -246,8 +259,45 @@ def test_named_groups_over_power_roots_match_reference(name):
     powers = [root(w) for w in p.relators if root(w)[1] > 1]
     assert powers
     for u, m in powers:
-        index = assert_same(p.ngens, p.relators, 10**6, u).nlive
+        index = assert_same(p.ngens, p.relators, 10**6, (u,)).nlive
         assert order % index == 0 and order // index <= m
+
+
+def dihedral_splits(u, involutions):
+    """Every (x, y) with u = x y and x, y each w g w^-1 for an involution g,
+    letters g^-1 of involutions written g."""
+
+    def conjugates_involution(w):
+        h = len(w) // 2
+        inverse = tuple(x if x in involutions else -x for x in reversed(w[:h]))
+        return len(w) % 2 == 1 and w[h] in involutions and w[h + 1 :] == inverse
+
+    return [
+        (u[:i], u[i:])
+        for i in range(1, len(u))
+        if conjugates_involution(u[:i]) and conjugates_involution(u[i:])
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(set(NAMED) - {"Z450"}))
+def test_named_groups_over_dihedral_splits_match_reference(name):
+    """The cosets of <x, y> for every split u = x y of a power relator's
+    root, as the table reads it, into two conjugates of involutions: a
+    dihedral group of order at most 2m."""
+    (ngens, rels), order = NAMED[name]
+    rng = random.Random(name)
+    p = Presentation(tuple(f"x{i}" for i in range(ngens)), relabel(ngens, rels, rng))
+    involutions = set(involutions_of(p.relators))
+    splits = []
+    for w in p.relators:
+        w = reduce_mod_involutions(w, involutions)
+        if w:  # g^2 reduces to nothing
+            u, m = root(w)
+            splits += [(xy, m) for xy in dihedral_splits(u, involutions) if m > 1]
+    assert splits
+    for xy, m in splits:
+        index = assert_same(p.ngens, p.relators, 10**6, xy).nlive
+        assert order % index == 0 and order // index <= 2 * m
 
 
 TRIANGLE_237 = [(1, 1), (2, 2, 2), (1, 2) * 7]

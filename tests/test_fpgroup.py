@@ -254,44 +254,90 @@ def coxeter_a6(extra=()):
     return Presentation([f"s{i}" for i in range(1, 7)], rels + list(extra))
 
 
-def highest_power(p):
-    """The highest power u^m among p's relators, as the coset table reads
-    them: modulo g^2 = 1 over every involution g."""
-    return fpgroup._highest_power(_CosetTable(p.ngens, p.relators, 1).words)
+def power_subgroup(p):
+    """(gens, m): the generator words of the subgroup the table enumerates
+    over for p, and the power m of the relator root they come from, read
+    as the coset table reads the relators: modulo g^2 = 1 over every
+    involution g."""
+    table = _CosetTable(p.ngens, p.relators, 1)
+    return fpgroup._power_subgroup(table.words, table.involutions)
 
 
 def over_power(p, limit=10**6):
-    """(u, m, index, period): the highest power u^m, the index of <u> and the
-    order of u's permutation of its cosets."""
-    u, m = highest_power(p)
-    table = _CosetTable(p.ngens, p.relators, limit, u)
-    return u, m, table.enumerate(), table.subgroup_period()
+    """(gens, m, index, period): the chosen subgroup's generator words, m,
+    the subgroup's index and the order of the permutation that the product
+    of its generators induces on its cosets."""
+    gens, m = power_subgroup(p)
+    table = _CosetTable(p.ngens, p.relators, limit, gens)
+    return gens, m, table.enumerate(), table.subgroup_period()
+
+
+def triangle_237(k):
+    return Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * k])
 
 
 class TestPowerSubgroup:
-    """|G| = |G:<u>| * m for the highest power u^m, when u's permutation of
-    the cosets of <u> has order m; else the trivial subgroup's count."""
+    """|G| = |G:H| * |H| for H = <x, y>, |H| = 2m, when the root u = x y of
+    a power relator u^m (m >= 3) splits into two conjugates of involutions,
+    or H = <u>, |H| = m, when it does not; each when the permutation of u on
+    the cosets of H has order m.  Else the trivial subgroup's count."""
 
     def test_highest_power_choice(self):
-        # modulo a^2 = 1, [a, b]^8 reads (a b a b^-1)^8
-        rels = [(1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * 8]
-        assert highest_power(Presentation("ab", rels)) == ((1, 2, 1, -2), 8)
+        # modulo a^2 = 1, [a, b]^8 reads (a b a b^-1)^8 = (a . b a b^-1)^8:
+        # bound 16 against 7 for (ab)^7, whose b is no involution
+        assert power_subgroup(triangle_237(8)) == (((1,), (2, 1, -2)), 8)
+        # the split bound 2k beats 7 for k = 4 as well
+        assert power_subgroup(triangle_237(7)) == (((1,), (2, 1, -2)), 7)
+        assert power_subgroup(triangle_237(4)) == (((1,), (2, 1, -2)), 4)
+        # S_7: the first (s_i s_j)^3, bound 6
+        assert power_subgroup(coxeter_a6()) == (((1,), (2,)), 3)
         # the first on ties, g^2 counts as m = 2, no power gives None
-        assert highest_power(Presentation("ab", [(2, 2, 2), (1, 1, 1)])) == ((2,), 3)
-        assert highest_power(Presentation("ab", [(1, -2, 1, -2), (-2, -2)])) == ((1, 2), 2)
-        assert highest_power(Presentation("ab", [(1, 2, -1, -2), (-2, -2)])) == ((2,), 2)
-        assert highest_power(Presentation("ab", [(1, 2, -1, -2)])) is None
+        assert power_subgroup(Presentation("ab", [(2, 2, 2), (1, 1, 1)])) == (((2,),), 3)
+        assert power_subgroup(Presentation("ab", [(1, -2, 1, -2), (-2, -2)])) == (((1, 2),), 2)
+        assert power_subgroup(Presentation("ab", [(1, 2, -1, -2), (-2, -2)])) == (((2,),), 2)
+        assert power_subgroup(Presentation("ab", [(1, 2, -1, -2)])) is None
+        # a half w g w, not w g w^-1, is no conjugate of an involution
+        assert power_subgroup(Presentation("abc", [(1, 1), (3, 3), (2, 1, 2, 3) * 3])) == (
+            ((2, 1, 2, 3),),
+            3,
+        )
+        assert power_subgroup(Presentation("abc", [(1, 1), (3, 3), (2, 1, -2, 3) * 3])) == (
+            ((2, 1, -2), (3,)),
+            3,
+        )
+
+    def test_no_split_at_m_2(self):
+        # a = 1, so <a, b> = <b> has order 2, not 4: a split of (ab)^2
+        # would claim 3 * 4 = 12 for this S_3
+        p = Presentation("abt", [(1, 1), (1,), (2, 2), (3, 3, 3), (1, 2) * 2, (2, 3) * 2])
+        assert power_subgroup(p) == (((3,),), 3)
+        assert todd_coxeter_order(p) == 6
+
+    def test_half_w_g_w_is_no_split(self):
+        # c = 1 and <a, b | a^2, b^3, (b a b)^3> is A_4; read as a split,
+        # (b a b) c would claim 24
+        p = Presentation("abc", [(1, 1), (3, 3), (2, 2, 2), (2, 1, 2, 3) * 3, (-1, -1, 3)])
+        assert todd_coxeter_order(p) == 12
+        assert _CosetTable(p.ngens, p.relators, 10**6).enumerate() == 12
+
+    def test_index_one_split_enumerates(self):
+        # <a, b> is the whole group, which need not be cyclic: S_3, whose
+        # abelianization has order 2
+        p = Presentation("ab", [(1, 1), (2, 2), (1, 2) * 3])
+        assert over_power(p) == (((1,), (2,)), 3, 1, 1)
+        assert abelianization(p).order() == 2
+        assert todd_coxeter_order(p) == 6
 
     def test_orders_agree_with_the_trivial_subgroup(self):
         rng = random.Random(16)
         limit = 1000
-        certified = fell_back = refused = 0
-        for _ in range(300):
+        certified = dihedral = fell_back = refused = 0
+        for _ in range(800):
             p = random_power_presentation(rng)
             try:
-                _u, m, index, period = over_power(p, limit)
+                gens, m, index, period = over_power(p, limit)
             except CosetLimitExceeded:
-                # a limit the enumeration over <u> hits is final
+                # a limit the enumeration over H hits is final
                 with pytest.raises(CosetLimitExceeded):
                     todd_coxeter_order(p, limit)
                 refused += 1
@@ -303,22 +349,24 @@ class TestPowerSubgroup:
                 want = _CosetTable(p.ngens, p.relators, 10**5).enumerate()
             if period == m:
                 certified += 1
-                assert index * m == want, p
+                dihedral += len(gens) == 2
+                assert index * m * len(gens) == want, p
             else:
                 fell_back += 1
             assert todd_coxeter_order(p, 10**5) == want, p
         assert certified >= 30 and fell_back >= 60 and refused >= 60
+        assert dihedral >= 30
 
     def test_unproved_power_falls_back(self):
-        # (s1 s2)^6 holds in S_7 but s1 s2 has order 3: n * m would be 10080
+        # (s1 s2)^6 holds in S_7 but s1 s2 has order 3: n * 2m would be 10080
         p = coxeter_a6([(1, 2) * 6])
-        assert over_power(p) == ((1, 2), 6, 1680, 3)
+        assert over_power(p) == (((1,), (2,)), 6, 840, 3)
         assert todd_coxeter_order(p) == 5040
 
     def test_normal_subgroup_falls_back(self):
         # Z/4 x Z/6: <b> is normal, so b fixes every coset of it
         p = Presentation("ab", [(1,) * 4, (2,) * 6, (1, 2, -1, -2)])
-        assert over_power(p) == ((2,), 6, 4, 1)
+        assert over_power(p) == (((2,),), 6, 4, 1)
         assert todd_coxeter_order(p) == 24
 
     def test_index_one_reads_the_abelianization(self, monkeypatch):
@@ -330,21 +378,30 @@ class TestPowerSubgroup:
         monkeypatch.setattr(_CosetTable, "restart", restart)
         # b = a^2, so <a> is the whole group: Z/6
         p = Presentation("ab", [(1,) * 6, (-2, 1, 1)])
-        assert over_power(p) == ((1,), 6, 1, 1)
+        assert over_power(p) == (((1,),), 6, 1, 1)
         assert todd_coxeter_order(p) == 6
         # a^6 is the highest power, but a^4 = 1 too and b = a: Z/2
         p = Presentation("ab", [(1,) * 6, (1,) * 4, (2, -1)])
-        assert over_power(p) == ((1,), 6, 1, 1)
+        assert over_power(p) == (((1,),), 6, 1, 1)
         assert todd_coxeter_order(p) == 2
 
     def test_proved_power(self):
-        p = Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * 8])
-        assert over_power(p) == ((1, 2, 1, -2), 8, 1344, 8)
+        # over <a b a b^-1> and <a> . <b a b^-1>: 1344 * 8 = 672 * 16
+        p = triangle_237(8)
+        assert over_power(p) == (((1,), (2, 1, -2)), 8, 672, 8)
+        table = _CosetTable(p.ngens, p.relators, 10**6, ((1, 2, 1, -2),))
+        assert (table.enumerate(), table.subgroup_period()) == (1344, 8)
         assert todd_coxeter_order(p) == 10752
+        # S_7 over <s1, s2> = S_3: 840 * 6
+        assert over_power(coxeter_a6()) == (((1,), (2,)), 3, 840, 3)
         assert todd_coxeter_order(coxeter_a6()) == 5040
+        # A_4 over <a>, no split: 4 * 3
+        p = Presentation("ab", [(1,) * 3, (2,) * 3, (1, 2) * 2])
+        assert over_power(p) == (((1,),), 3, 4, 3)
+        assert todd_coxeter_order(p) == 12
 
     def test_limit_bounds_the_enumeration_that_runs(self, monkeypatch):
-        p = Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * 8])
+        p = triangle_237(8)
         # 10752 cosets of the trivial subgroup do not fit in 5000
         with pytest.raises(CosetLimitExceeded):
             _CosetTable(p.ngens, p.relators, 5000).enumerate()
@@ -355,13 +412,13 @@ class TestPowerSubgroup:
         enumerate_ = _CosetTable.enumerate
 
         def recorded(self):
-            runs.append(self.subgroup and len(self.subgroup[0]))
+            runs.append([len(fwd) for fwd, _bwd in self.subgroup])
             return enumerate_(self)
 
         monkeypatch.setattr(_CosetTable, "enumerate", recorded)
         with pytest.raises(CosetLimitExceeded, match="more than 4000 live cosets"):
             todd_coxeter_order(Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7]), 4000)
-        assert runs == [2]
+        assert runs == [[2]]
 
 
 def is_cyclic_of_order(p, n):
