@@ -23,9 +23,9 @@ recomputes them from the payload and reports pass or fail.
 
 from __future__ import annotations
 
+import os
 import time
 from collections import namedtuple
-from pathlib import Path
 
 from . import fpgroup, torus, vankampen
 from .intlin import (
@@ -130,7 +130,8 @@ class Report:
 def _parse_lines(path):
     out = []
     try:
-        raw = Path(path).read_text(encoding="utf-8").splitlines()
+        with open(path, encoding="utf-8") as f:
+            raw = f.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     except OSError as exc:
@@ -631,7 +632,10 @@ def run_scenario(s: Scenario, max_cosets=DEFAULT_MAX_COSETS) -> Report:
         )
 
 
-def bundled_catalogue_dir() -> Path:
+def bundled_catalogue_dir():
+    """The ``Path`` of the catalogue shipped with the package."""
+    from pathlib import Path
+
     return Path(__file__).resolve().parent / "catalogue"
 
 
@@ -641,6 +645,8 @@ def verify_catalogue(directory=None, max_cosets=DEFAULT_MAX_COSETS):
     Individual parse or validation failures are captured as failed reports;
     they never abort the rest of the catalogue.
     """
+    from pathlib import Path
+
     directory = Path(directory) if directory is not None else bundled_catalogue_dir()
     reports = []
     for path in sorted(directory.glob("*.scn")):
@@ -659,7 +665,10 @@ def verify_catalogue(directory=None, max_cosets=DEFAULT_MAX_COSETS):
 def load_catalogue_file(path) -> Scenario:
     """``load_scenario`` for a catalogue file, which must be named after its id."""
     scenario = load_scenario(path)
-    if scenario.id != Path(path).stem:
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name  # as Path(path).stem
+    if scenario.id != stem:
         raise ValidationError(f"{path}: scenario id '{scenario.id}' does not match the file name")
     return scenario
 
@@ -667,6 +676,8 @@ def load_catalogue_file(path) -> Scenario:
 def load_catalogue(directory=None):
     """All bundled scenarios, sorted by id.  Raises on a malformed file or
     one not named after its id."""
+    from pathlib import Path
+
     directory = Path(directory) if directory is not None else bundled_catalogue_dir()
     scenarios = [load_catalogue_file(p) for p in sorted(directory.glob("*.scn"))]
     scenarios.sort(key=lambda s: s.id)

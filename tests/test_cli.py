@@ -23,22 +23,45 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def _src_env():
+    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
+# dataclasses imports inspect, fractions decimal, argparse gettext and re,
+# pathlib re and fnmatch, re enum: each once weighed on start-up
+SLOW_MODULES = {
+    "dataclasses", "inspect", "fractions", "decimal",
+    "argparse", "gettext", "json", "pathlib", "re", "enum",
+}
+
+
 def test_import_adds_no_slow_stdlib_modules():
-    """``import stablepi1.cli`` loads none of dataclasses (which imports
-    inspect) and fractions (which imports decimal) beyond what a bare
-    interpreter has loaded: those imports once dominated start-up."""
+    """``import stablepi1.cli`` loads no module of SLOW_MODULES beyond what
+    the interpreter has loaded before it, with the site (which may load
+    some of them itself) and under ``-S``, where nothing else has."""
     script = (
         "import sys; bare = set(sys.modules); import stablepi1.cli; "
         "print(*sorted(set(sys.modules) - bare))"
     )
-    path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for flags in ([], ["-S"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", script],
+            env=_src_env(), capture_output=True, text=True, check=True,
+        )
+        extra = set(proc.stdout.split())
+        assert "stablepi1.cli" in extra
+        assert extra & SLOW_MODULES == set(), flags
+
+
+def test_verify_all_runs_without_the_site():
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-m", "stablepi1", "verify-all", "--format", "json"],
+        env=_src_env(), capture_output=True, text=True,
     )
-    extra = set(proc.stdout.split())
-    assert "stablepi1.cli" in extra
-    assert extra & {"dataclasses", "fractions", "decimal", "inspect"} == set()
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["passed"] == payload["total"] == 23
 
 
 def test_run_json(capsys):
@@ -323,3 +346,117 @@ def test_run_id_must_be_a_plain_file_name(capsys, tmp_path, sid):
     code, out, err = run_cli(capsys, ["run", sid, "--catalogue-dir", str(tmp_path)])
     assert code == 2 and out == ""
     assert f"unknown scenario '{sid}'" in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+@pytest.mark.parametrize("command", [None, "list", "run", "verify-all", "snf"])
+def test_help_prints_usage_and_exits_0(capsys, flag, command):
+    argv = [flag] if command is None else [command, flag]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0 and err == ""
+    if command is None:
+        assert out.startswith("usage: stablepi1 [-h] {list,run,verify-all,snf} ...\n")
+        for name in ("list", "run", "verify-all", "snf"):
+            assert f"\n  {name} " in out
+    else:
+        assert out.startswith(f"usage: stablepi1 {command} [-h] ")
+        for option in ("-h, --help", "--catalogue-dir DIR", "--format {json,md}", "--max-cosets N"):
+            assert f"\n  {option} " in out
+        assert out.split("\n", 1)[0].endswith(" scenario") == (command == "run")
+
+
+def test_help_wins_over_a_later_unknown_option_but_not_an_earlier_error(capsys):
+    # argparse acted on each word in turn and reported unknown words last
+    code, out, _err = run_cli(capsys, ["run", "--frobnicate", "-h"])
+    assert code == 0 and out.startswith("usage: stablepi1 run ")
+    code, out, err = run_cli(capsys, ["run", "--format", "xml", "-h"])
+    assert code == 2 and out == ""
+    assert "invalid choice: 'xml'" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--format", "json", "list"],
+        ["nope"],
+        ["run"],
+        ["run", "P1", "P2"],
+        ["list", "P1"],
+        ["run", "P1", "--frobnicate"],
+        ["run", "P1", "-x"],
+        ["run", "P1", "--catalogue-dir"],
+        ["run", "P1", "--catalogue-dir", "--format"],
+        ["run", "P1", "--format", "--max"],
+        ["run", "P1", "--max-cosets", "--frobnicate"],
+        ["list", "--format", "xml"],
+        ["list", "--format=xml"],
+        ["list", "--=json"],
+        ["list", "--help=x"],
+        ["list", "-hx"],
+        ["-h=x"],
+        ["--", "list"],
+        ["list", "--"],
+        ["list", "--format", "--", "json"],
+    ],
+)
+def test_usage_errors_print_usage_and_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: stablepi1")
+
+
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        (["run", "P1", "--format=json"], "json"),
+        (["run", "P1", "--form", "json"], "json"),
+        (["run", "P1", "--f=json"], "json"),
+        (["run", "--format", "json", "P1"], "json"),
+        (["run", "--format", "json", "--format", "md", "P1"], "md"),
+        (["run", "--format", "json", "--", "P1"], "json"),
+        (["run", "P1", "--"], "md"),
+    ],
+)
+def test_option_forms(capsys, argv, fmt):
+    code, out, _err = run_cli(capsys, argv)
+    assert code == 0
+    if fmt == "json":
+        assert json.loads(out)["scenario"] == "P1"
+    else:
+        assert out.startswith("## P1\n")
+
+
+def test_options_read_values_as_argparse_did(capsys):
+    # a negative number is a value; -hh is -h twice
+    code, out, err = run_cli(capsys, ["run", "P1", "--max-cosets", "-3"])
+    assert code == 2 and out == ""
+    assert err == "error: --max-cosets must be a positive integer, got '-3'\n"
+    code, out, _err = run_cli(capsys, ["list", "-hh"])
+    assert code == 0 and out.startswith("usage: stablepi1 list ")
+    code, out, _err = run_cli(capsys, ["run", "--", "--"])
+    assert code == 2 and out == ""
+
+
+def test_catalogue_dir_is_normalised_as_a_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cat").mkdir()
+    code, out, err = run_cli(capsys, ["list", "--catalogue-dir", "./cat/"])
+    assert code == 2 and out == ""
+    assert err == "error: no scenario files in cat\n"
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--format=--", "invalid choice: '--'"),
+        ("--catalogue-dir=--", "error: no scenario files in --"),
+        ("--max-cosets=--", "error: --max-cosets must be a positive integer, got '--'"),
+    ],
+)
+def test_an_attached_double_dash_is_the_value(capsys, option, message):
+    # the value is the word after '=', as in argparse 3.13; 3.10-3.12
+    # dropped it and stored [] (--max-cosets=-- then raised a traceback)
+    code, out, err = run_cli(capsys, ["list", option])
+    assert code == 2 and out == ""
+    assert message in err
