@@ -23,14 +23,11 @@ k = m >= 3 neither is the identity and together they generate a dihedral
 group of order 2m, an image of H: |H| = 2m and |G| = n * 2m.  m = 2 is left
 out: an involution times the identity has order 2 as well, so k = 2 does
 not rule out a trivial permutation of x or y.
-When n = 1 over <u>, G = <u> is cyclic, and finite since u^m = 1, so |G|
-is the order of its abelianization, read off the relator exponent matrix
-with no second enumeration; over <x, y>, G = H need not be cyclic (S_3 =
-<a, b | a^2, b^2, (ab)^3> has abelianization Z/2), and k = 1 < m.
-Otherwise, when k < m, the trivial subgroup is enumerated after all, on
-the same table.  ``max_cosets`` bounds the live cosets of whichever
-enumeration runs: the one over H usually needs fewer, so it can close
-where the trivial one would not, and a limit it hits is final.
+Otherwise, when k < m, index n = 1 included, the trivial subgroup is
+enumerated after all, on a fresh table.  ``max_cosets`` bounds the live
+cosets of whichever enumeration runs: the one over H usually needs fewer,
+so it can close where the trivial one would not, and a limit it hits is
+final.
 
 The coset table is stored by column, one flat ``list[int]`` per generator
 and per inverse, indexed by coset number; cosets are numbered from 1 and 0
@@ -292,15 +289,14 @@ class _CosetTable:
     The words must be reduced as the relators are, freely and cyclically,
     modulo g^2 = 1 over every involution g; each in turn is scanned and
     filled at coset 1 before the first relator.  ``subgroup_period`` reads
-    the permutation of their product in that order, u = x y.  ``restart``
-    empties the table for another enumeration of the same presentation.
-    The table is stored by column: ``cols[c][k]`` is the image of coset k
-    under column c.  Each generator has a column, followed by one for its
-    inverse, except an involution: a generator g with a relator g^2 (or
-    g^-2).  g and g^-1 share its one column, which is its own inverse in
-    ``pairs``; g^2 is dropped and the other relators are rewritten over g
-    alone, freely and cyclically reduced modulo g^2 = 1, and dropped when
-    that empties them (Havas and Ramsay, ACE 3, 1999).  Defining a coset
+    the permutation of their product in that order, u = x y.  The table is
+    stored by column: ``cols[c][k]`` is the image of coset k under column
+    c.  Each generator has a column, followed by one for its inverse,
+    except an involution: a generator g with a relator g^2 (or g^-2).  g
+    and g^-1 share its one column, which is its own inverse in ``pairs``;
+    g^2 is dropped and the other relators are rewritten over g alone,
+    freely and cyclically reduced modulo g^2 = 1, and dropped when that
+    empties them (Havas and Ramsay, ACE 3, 1999).  Defining a coset
     through that column defines its inverse entry too, so the enumeration
     skips the cosets the g^2 scans would define and then merge.  Every
     write sets an entry and its inverse entry through a pair, so a shared
@@ -375,14 +371,6 @@ class _CosetTable:
         self.p = [0, 1]
         self.top = 1  # highest coset number in use
         self.nlive = 1
-
-    def restart(self, subgroup=()):
-        """Empty the table for an enumeration over the subgroup the words
-        ``subgroup`` generate.  Columns and flags are emptied in place, so
-        ``rels`` and ``pairs`` stay bound."""
-        for c in self.cols + self.flags:
-            c[:] = bytes(_INITIAL_ROWS)
-        self._start(subgroup)
 
     # union-find; merges always keep the smaller index, so representatives
     # are minimal and numbering stays deterministic
@@ -603,9 +591,8 @@ def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
     with the largest bound on |H|: H = <x, y> of order 2m when m >= 3 and
     u = x y splits into two conjugates of involutions, else H = <u> of
     order m.  The bound holds when u's permutation of the cosets has order
-    m, and over <u> also when <u> has index 1 (G is then cyclic); otherwise
-    the trivial subgroup is enumerated (see the module docstring for the
-    proof).
+    m; otherwise the trivial subgroup is enumerated on a fresh table (see
+    the module docstring for the proof).
 
     Raises CosetLimitExceeded when the enumeration does not close within
     ``max_cosets`` live cosets (infinite group, or limit too low).
@@ -618,14 +605,11 @@ def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
     power = _power_subgroup(table.words, table.involutions) if p.ngens >= 2 else None
     if power is not None:
         gens, m = power
-        table._start(gens)  # nothing to empty yet
+        table._start(gens)  # the table is still empty
         index = table.enumerate()
         if table.subgroup_period() == m:
             return index * m * len(gens)  # |H| = m, or 2m over a split
-        if index == 1 and len(gens) == 1:
-            # G = <u> is cyclic, so abelian, and finite as u^m = 1
-            return abelianization(p).order()
-        table.restart()
+        table = _CosetTable(p.ngens, p.relators, max_cosets)
     return table.enumerate()
 
 

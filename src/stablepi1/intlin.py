@@ -48,9 +48,7 @@ matrix, so U and V stay near the size of H's entries:
   relation matrices of the catalogue's groups;
 - ``smith_normal_form``: U and V.  The Hermite step carries U1 with U1*A = H
   (each input row is followed by its row of the identity), and U starts
-  from U1, so U2*U1 comes back.  When A already is a Hermite form, as
-  ``saturation`` returns, that step would hand back [A | I] and no kernel
-  rows, so H = A and U1 = I are taken without running it;
+  from U1, so U2*U1 comes back;
 - ``saturation``: U started from the rows of H, so U*H comes back; when
   every pivot of H is 1, Z^n / L is free and H is returned as it is.
 
@@ -421,30 +419,6 @@ def _smith_rows(h, u=None, vt=None):
         m, u, vt = _smith_round(m, u, vt)
 
 
-def _is_hermite(rows):
-    """Whether ``rows`` already are a Hermite form: no zero row, pivot
-    columns strictly increasing, positive pivots, and every entry above a
-    pivot in [0, pivot).  ``smith_normal_form`` then takes them as H, with
-    U1 = I, instead of running the augmented insertion that would return
-    them unchanged."""
-    p = -1  # the last pivot column
-    for i, row in enumerate(rows):
-        if any(row[: p + 1]):
-            return False
-        for p in range(p + 1, len(row)):
-            if row[p]:
-                break
-        else:
-            return False  # a zero row
-        d = row[p]
-        if d < 0:
-            return False
-        for h in rows[:i]:
-            if not 0 <= h[p] < d:
-                return False
-    return True
-
-
 def _hermite_with_identity(a):
     """``_hermite_rows`` of the rows of A, each followed by its row of the
     identity, with pivots in A's columns: basis rows [H | U1] with U1*A = H,
@@ -465,13 +439,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     instead of growing with the raw matrix's.
     """
     r, c = a.rows, a.cols
-    h = a.to_rows()
-    if _is_hermite(h):
-        u1, kernel = IntMatrix.identity(r).to_rows(), []
-    else:
-        basis, kernel = _hermite_with_identity(a)
-        h = [row[:c] for row in basis]
-        u1 = [row[c:] for row in basis]
+    basis, kernel = _hermite_with_identity(a)
+    h = [row[:c] for row in basis]
+    u1 = [row[c:] for row in basis]
     diag, u, vt = _smith_rows(h, u1, IntMatrix.identity(c).to_rows())
     d = [0] * (r * c)
     for i, x in enumerate(diag):
@@ -748,8 +718,5 @@ def saturation(a: IntMatrix) -> IntMatrix:
         return IntMatrix._of_rows(h, a.cols)
     # U started from the rows of H comes back as U*H
     diag, uh, _vt = _smith_rows(h, h)
-    if all(d == 1 for d in diag):
-        # every d_i is 1: the lattice is its own saturation
-        return IntMatrix._of_rows(h, a.cols)
     rows = [[x // d for x in row] for row, d in zip(uh, diag)]
     return hermite_normal_form(IntMatrix._of_rows(rows, a.cols))

@@ -246,6 +246,47 @@ def test_verify_all_md_matches_golden_report(capsys):
     assert out == (DATA / "verify_all.md").read_text(encoding="utf-8")
 
 
+def _interpreter(minor):
+    """The executable of Python 3.minor, or None.  ``python3.X`` on PATH may
+    be a version manager's shim that fails or starts another version, so
+    the candidate is asked for its own executable and version first."""
+    import shutil
+
+    found = shutil.which(f"python3.{minor}")
+    if found is None:
+        return None
+    probe = subprocess.run(
+        [found, "-S", "-c", "import sys; print(sys.executable, *sys.version_info[:2])"],
+        capture_output=True, text=True,
+    )
+    out = probe.stdout.rsplit(maxsplit=2)  # executable, major, minor
+    if probe.returncode or out[1:] != ["3", str(minor)]:
+        return None
+    return out[0]
+
+
+@pytest.mark.parametrize("minor", [10, 11, 12, 13])
+def test_reports_are_the_same_on_every_interpreter(minor):
+    """verify-all on a bare Python 3.10 to 3.13 reproduces tests/data, under
+    two hash seeds, so no report depends on the version or on the order of
+    a string-keyed set."""
+    exe = _interpreter(minor)
+    if exe is None:
+        pytest.skip(f"python3.{minor} is not installed")
+    for seed in ("0", "4097"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+        for fmt in ("json", "md"):
+            proc = subprocess.run(
+                [exe, "-S", "-m", "stablepi1", "verify-all", "--format", fmt],
+                env=env, capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out = proc.stdout
+            if fmt == "json":
+                out = json.dumps(_without_elapsed(json.loads(out)), indent=2) + "\n"
+            assert out == (DATA / f"verify_all.{fmt}").read_text(encoding="utf-8"), (exe, seed, fmt)
+
+
 @pytest.mark.parametrize("command", ["verify-all", "list"])
 @pytest.mark.parametrize("missing", [False, True])
 def test_directory_without_scenarios_is_a_usage_error(capsys, tmp_path, command, missing):

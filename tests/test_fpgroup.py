@@ -276,6 +276,52 @@ def triangle_237(k):
     return Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7, (1, 2, -1, -2) * k])
 
 
+def coxeter(n, labels):
+    """The Coxeter presentation on s1..sn: s_i^2 and (s_i s_j)^m_ij, with
+    m_ij = labels[i, j] for the 1-based pairs given and 2 for the rest."""
+    rels = [(i, i) for i in range(1, n + 1)]
+    rels += [(i, j) * labels.get((i, j), 2) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return Presentation([f"s{i}" for i in range(1, n + 1)], rels)
+
+
+def enum_menu_groups():
+    """The close ops of the benchmark's enum menu up to order 1092, with
+    their orders: the Coxeter groups A3, B3, A4, A5, B4 and D4, (2,3,7;4),
+    (2,3,7;7) and Z/450, Z/700, Z/1000."""
+
+    def a(n, m12=3):  # A_n, or B_n for m12 = 4
+        return {(i, i + 1): 3 for i in range(2, n)} | {(1, 2): m12}
+
+    return [
+        (coxeter(3, a(3)), 24),
+        (coxeter(3, a(3, m12=4)), 48),
+        (coxeter(4, a(4)), 120),
+        (coxeter(5, a(5)), 720),
+        (coxeter(4, a(4, m12=4)), 384),
+        (coxeter(4, {(2, 3): 3, (3, 4): 3, (1, 3): 3}), 192),
+        (triangle_237(4), 168),
+        (triangle_237(7), 1092),
+    ] + [(cyclic_presentation(n), n) for n in (450, 700, 1000)]
+
+
+def power_groups():
+    """The finite groups of TestPowerSubgroup, with their orders."""
+    return [
+        (triangle_237(8), 10752),
+        (triangle_237(7), 1092),
+        (triangle_237(4), 168),
+        (coxeter_a6(), 5040),
+        (coxeter_a6([(1, 2) * 6]), 5040),
+        (Presentation("abt", [(1, 1), (1,), (2, 2), (3, 3, 3), (1, 2) * 2, (2, 3) * 2]), 6),
+        (Presentation("abc", [(1, 1), (3, 3), (2, 2, 2), (2, 1, 2, 3) * 3, (-1, -1, 3)]), 12),
+        (Presentation("ab", [(1, 1), (2, 2), (1, 2) * 3]), 6),
+        (Presentation("ab", [(1,) * 4, (2,) * 6, (1, 2, -1, -2)]), 24),
+        (Presentation("ab", [(1,) * 6, (-2, 1, 1)]), 6),
+        (Presentation("ab", [(1,) * 6, (1,) * 4, (2, -1)]), 2),
+        (Presentation("ab", [(1,) * 3, (2,) * 3, (1, 2) * 2]), 12),
+    ]
+
+
 class TestPowerSubgroup:
     """|G| = |G:H| * |H| for H = <x, y>, |H| = 2m, when the root u = x y of
     a power relator u^m (m >= 3) splits into two conjugates of involutions,
@@ -369,21 +415,27 @@ class TestPowerSubgroup:
         assert over_power(p) == (((2,),), 6, 4, 1)
         assert todd_coxeter_order(p) == 24
 
-    def test_index_one_reads_the_abelianization(self, monkeypatch):
-        # index 1 means G = <u>: cyclic, so |G| = |G^ab|, and no enumeration
-        # of the trivial subgroup follows
-        def restart(self, subgroup=()):
-            raise AssertionError("enumerated the trivial subgroup")
-
-        monkeypatch.setattr(_CosetTable, "restart", restart)
+    def test_index_one_falls_back(self, monkeypatch):
+        # index 1 proves nothing by itself: u fixes the one coset, k = 1 < m,
+        # so the trivial subgroup is enumerated after <u>, as for any k < m
         # b = a^2, so <a> is the whole group: Z/6
-        p = Presentation("ab", [(1,) * 6, (-2, 1, 1)])
-        assert over_power(p) == (((1,),), 6, 1, 1)
-        assert todd_coxeter_order(p) == 6
+        z6 = Presentation("ab", [(1,) * 6, (-2, 1, 1)])
         # a^6 is the highest power, but a^4 = 1 too and b = a: Z/2
-        p = Presentation("ab", [(1,) * 6, (1,) * 4, (2, -1)])
-        assert over_power(p) == (((1,),), 6, 1, 1)
-        assert todd_coxeter_order(p) == 2
+        z2 = Presentation("ab", [(1,) * 6, (1,) * 4, (2, -1)])
+        for p in (z6, z2):
+            assert over_power(p) == (((1,),), 6, 1, 1)
+        runs = []
+        enumerate_ = _CosetTable.enumerate
+
+        def recorded(self):
+            runs.append([len(fwd) for fwd, _bwd in self.subgroup])
+            return enumerate_(self)
+
+        monkeypatch.setattr(_CosetTable, "enumerate", recorded)
+        for p, n in ((z6, 6), (z2, 2)):
+            runs.clear()
+            assert todd_coxeter_order(p) == n
+            assert runs == [[1], []]
 
     def test_proved_power(self):
         # over <a b a b^-1> and <a> . <b a b^-1>: 1344 * 8 = 672 * 16

@@ -20,6 +20,7 @@ from stablepi1.scenarios import (
     run_scenario,
     verify_catalogue,
 )
+from test_fpgroup import enum_menu_groups, power_groups
 
 EXPECTED_ORDERS = {
     "P1": 4,
@@ -418,21 +419,72 @@ class TestParserTotality:
         assert not escapes, escapes[:10]
 
 
-def test_cyclic_groups_over_their_power_enumerate_once(monkeypatch):
-    # In E2-E5 the cosets of <u> number 1: G = <u> is cyclic, and its order
-    # is the abelianization's.  P3 (index 3, u fixes every coset) still
-    # enumerates the trivial subgroup after <u>.
-    restarted = []
-    restart = fpgroup._CosetTable.restart
+def certified_presentations(monkeypatch):
+    """{id: (presentation, enumerations)} for every bundled scenario: the
+    presentation that run_scenario hands to todd_coxeter_order, and the
+    lengths of the subgroup words of each _CosetTable.enumerate it ran."""
+    presentations, runs, out = [], [], {}
+    order_, enumerate_ = fpgroup.todd_coxeter_order, fpgroup._CosetTable.enumerate
 
-    def recorded(self, subgroup=()):
-        restarted.append(self)
-        return restart(self, subgroup)
+    def order(p, max_cosets):
+        presentations.append(p)
+        return order_(p, max_cosets)
 
-    monkeypatch.setattr(fpgroup._CosetTable, "restart", recorded)
+    def recorded(self):
+        runs.append([len(fwd) for fwd, _bwd in self.subgroup])
+        return enumerate_(self)
+
+    monkeypatch.setattr(fpgroup, "todd_coxeter_order", order)
+    monkeypatch.setattr(fpgroup._CosetTable, "enumerate", recorded)
     for s in load_catalogue():
-        if s.id in ("E2", "E3", "E4", "E5", "P3"):
-            restarted.clear()
-            report = run_scenario(s)
-            assert report.passed and report.order == EXPECTED_ORDERS[s.id], s.id
-            assert len(restarted) == (s.id == "P3"), s.id
+        presentations.clear()
+        runs.clear()
+        report = run_scenario(s)
+        assert report.passed and report.order == EXPECTED_ORDERS[s.id], s.id
+        (p,) = presentations
+        out[s.id] = p, list(runs)
+    monkeypatch.undo()
+    return out
+
+
+def test_unproved_subgroups_fall_back_to_the_trivial_one(monkeypatch):
+    # E2-E5 (<u> of index 1) and P3 (index 3, u fixes every coset): u's
+    # permutation has order k < m, so the trivial subgroup is enumerated
+    # after <u>.  Every other scenario with generators enumerates once.
+    presentations = certified_presentations(monkeypatch)
+    not_once = {sid: runs for sid, (_p, runs) in presentations.items() if len(runs) != 1}
+    assert not_once == {
+        "E2": [[1], []],
+        "E3": [[1], []],
+        "E4": [[1], []],
+        "E5": [[1], []],
+        "P3": [[2], []],
+        "dP": [],  # no generators: order 1 with nothing to enumerate
+    }
+
+
+def test_orders_need_no_smith_form(monkeypatch):
+    """Coset enumeration and the Smith form are the two independent routes
+    to every order, so todd_coxeter_order must not reach the Smith form."""
+    groups = [
+        (p, EXPECTED_ORDERS[sid])
+        for sid, (p, _runs) in certified_presentations(monkeypatch).items()
+        if p.ngens
+    ]
+    assert len(groups) == 22
+    groups += enum_menu_groups() + power_groups()
+
+    def refused(*args):
+        raise AssertionError("todd_coxeter_order reached the Smith form")
+
+    monkeypatch.setattr(fpgroup, "abelianization", refused)
+    monkeypatch.setattr(fpgroup, "cokernel_invariants", refused)
+    for p, n in groups:
+        assert fpgroup.todd_coxeter_order(p) == n, p.describe()
+
+
+def test_catalogue_passes_at_seven_live_cosets():
+    # E5's enumeration of the trivial subgroup needs 7 live cosets, the most
+    # of any scenario, so this is the lowest limit that passes them all
+    _reports, summary = verify_catalogue(max_cosets=7)
+    assert summary == {"total": 23, "passed": 23, "all_pass": True}

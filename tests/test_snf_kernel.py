@@ -323,39 +323,17 @@ def hermite_corpus():
     return [rows for rows in out if rows]
 
 
-def test_is_hermite_agrees_with_the_hermite_form():
-    """The Hermite form of a lattice is unique, so rows are one exactly when
-    hermite_normal_form returns them unchanged (it drops zero rows)."""
-    rng = random.Random(61)
-    cases = hermite_corpus() + oracle_matrices()
-    for _ in range(200):  # Hermite forms with one entry disturbed
-        rows = [list(row) for row in random_hermite(rng)]
-        rows[rng.randrange(len(rows))][rng.randrange(len(rows[0]))] += rng.choice((-3, -1, 1, 3))
-        cases.append(rows)
-    seen = {True: 0, False: 0}
-    for rows in cases:
-        want = hermite_normal_form(IntMatrix.from_rows(rows)).to_rows() == rows
-        assert intlin._is_hermite(rows) == want, rows
-        seen[want] += 1
-    assert min(seen.values()) >= 100
-
-
-def test_snf_of_a_hermite_input_skips_the_augmented_insertion(monkeypatch):
-    """On a Hermite input the augmented insertion would return [A | I] and no
-    kernel rows; taking them without it leaves D, U and V as they were."""
-    corpus = hermite_corpus()
-
-    def refused(a):
-        raise AssertionError("augmented insertion ran on a Hermite input")
-
-    monkeypatch.setattr(intlin, "_hermite_with_identity", refused)
-    fast = [smith_normal_form(IntMatrix.from_rows(rows)) for rows in corpus]
-    monkeypatch.undo()
-    monkeypatch.setattr(intlin, "_is_hermite", lambda rows: False)
-    slow = [smith_normal_form(IntMatrix.from_rows(rows)) for rows in corpus]
-    assert fast == slow
-    for rows, res in zip(corpus, fast):
+def test_augmented_insertion_of_a_hermite_input_returns_it():
+    """Inserting the rows of a Hermite form A, each followed by its row of
+    the identity, changes nothing: every row joins the basis at its pivot,
+    with nothing above it to reduce, so the basis is [A | I] and no row
+    reaches the kernel.  The Smith kernel then starts from H = A, U1 = I."""
+    for rows in hermite_corpus():
         a = IntMatrix.from_rows(rows)
+        basis, kernel = intlin._hermite_with_identity(a)
+        assert basis == [row + [int(i == j) for j in range(a.rows)] for i, row in enumerate(rows)]
+        assert kernel == []
+        res = smith_normal_form(a)
         assert res.u.mul(a).mul(res.v) == res.d
 
 
