@@ -8,21 +8,15 @@ abelian invariants come from the Smith form of the relator exponent
 matrix.  Coset numbering is deterministic: rows are processed lowest first
 and columns in declared generator order, so coset tables are reproducible.
 
-With two or more generators and a relator that is a proper power u^m,
-relators read modulo g^2 = 1, the cosets of a subgroup H of bounded order
-are enumerated instead of those of the trivial subgroup (Neubüser 1982;
-Handbook of CGT, ch. 5).  When m >= 3 and u = x y splits into two
-conjugates w g w^-1 of involutions g, H = <x, y>, a quotient of the
-dihedral group D_m, so |H| <= 2m; otherwise H = <u> and |H| <= m.  The root
-with the largest bound is taken, the first on ties, g^2 itself counting as
-m = 2.  u permutes the n cosets of H, and the order k of that permutation
-divides ord(u), which divides m.  Over <u>, k = m proves |H| = m and
-|G| = n * m.  Over <x, y>, the permutations of x and y are involutions or
-the identity, since x^2 = y^2 = 1, and their product has order k; when
-k = m >= 3 neither is the identity and together they generate a dihedral
-group of order 2m, an image of H: |H| = 2m and |G| = n * 2m.  m = 2 is left
-out: an involution times the identity has order 2 as well, so k = 2 does
-not rule out a trivial permutation of x or y.
+With two or more generators and a relator (x y)^m, m >= 3, read modulo
+g^2 = 1, whose root x y splits into two conjugates w g w^-1 of involutions
+g, the cosets of H = <x, y> are enumerated instead of those of the trivial
+subgroup (Neubüser 1982; Handbook of CGT, ch. 5).  H is a quotient of the
+dihedral group D_m, so |H| <= 2m; the relator with the largest m is taken,
+the first on ties.  x and y permute the n cosets of H as involutions or the
+identity, since x^2 = y^2 = 1, and the order k of their product divides m.
+When k = m >= 3 neither is the identity, and together they generate a
+dihedral group of order 2m, an image of H: |H| = 2m and |G| = n * 2m.
 Otherwise, when k < m, index n = 1 included, the trivial subgroup is
 enumerated after all, on a fresh table.  ``max_cosets`` bounds the live
 cosets of whichever enumeration runs: the one over H usually needs fewer,
@@ -263,17 +257,15 @@ def _dihedral_split(u, involutions):
     return None
 
 
-def _power_subgroup(words, involutions):
-    """(gens, m): the generator words of the subgroup H to enumerate over,
-    for the root u of a relator u^m with m >= 2.  gens is a split (x, y) of
-    u when m >= 3 (|H| <= 2m), else (u,) (|H| <= m).  The largest bound
-    wins, the first on ties; None when no relator is a proper power."""
-    best, top = None, 1
+def _dihedral_subgroup(words, involutions):
+    """((x, y), m) for a relator (x y)^m, m >= 3, whose root splits into
+    conjugates of involutions: the largest m wins, the first on ties; None
+    when no relator has such a root."""
+    best, top = None, 2
     for w in words:
         u, m = _root(w)
-        gens = (_dihedral_split(u, involutions) if m >= 3 else None) or (u,)
-        if m * len(gens) > top:
-            best, top = (gens, m), m * len(gens)
+        if m > top and (xy := _dihedral_split(u, involutions)):
+            best, top = (xy, m), m
     return best
 
 
@@ -282,8 +274,8 @@ _INITIAL_ROWS = 16
 
 class _CosetTable:
     """HLT coset table over the trivial subgroup, or over the subgroup that
-    the words of a nonempty tuple ``subgroup`` generate: <u> for one word,
-    <x, y> for two (Handbook of CGT, ch. 5).
+    the words of a tuple ``subgroup`` generate, such as a dihedral <x, y>
+    (Handbook of CGT, ch. 5).
 
     Cosets are numbered from 1 (the subgroup itself) and 0 means undefined.
     The words must be reduced as the relators are, freely and cyclically,
@@ -323,22 +315,17 @@ class _CosetTable:
         self.involutions = involutions = {
             abs(w[0]) for w in relators if len(w) == 2 and w[0] == w[1]
         }
-        # the relators as the table reads them, in their order, g^2 kept as
-        # (g, g) for _power_subgroup although no scan needs it.  Only those
+        # the relators as the table reads them, in their order.  Only those
         # with a letter of an involution are rewritten: the others are
         # reduced already, and re-walking them would cost for nothing.
-        self.words = words = relators
         if involutions:
-            self.words, relators = [], []
+            words, relators = relators, []
             for w in words:
-                if len(w) == 2 and w[0] == w[1]:
-                    self.words.append((abs(w[0]),) * 2)
-                    continue
                 if not involutions.isdisjoint(map(abs, w)):
                     w = tuple(_reduce_mod_involutions(w, involutions))
-                self.words.append(w)
-                if w:
+                if w:  # g^2, and any relator that reduces to 1, goes
                     relators.append(w)
+        self.words = relators
         self.cols = []
         self.pairs = []  # (column, inverse column) in column order
         self.column = column = {}  # letter -> its column
@@ -587,28 +574,25 @@ class _CosetTable:
 
 
 def todd_coxeter_order(p: Presentation, max_cosets=DEFAULT_MAX_COSETS) -> int:
-    """Group order by coset enumeration over H, for the power relator u^m
-    with the largest bound on |H|: H = <x, y> of order 2m when m >= 3 and
-    u = x y splits into two conjugates of involutions, else H = <u> of
-    order m.  The bound holds when u's permutation of the cosets has order
-    m; otherwise the trivial subgroup is enumerated on a fresh table (see
-    the module docstring for the proof).
+    """Group order by coset enumeration over the dihedral H = <x, y> of the
+    relator (x y)^m with the largest m >= 3 whose root splits into
+    conjugates of involutions.  |H| = 2m holds when x y permutes the cosets
+    with order m; otherwise, or with no such relator, the trivial subgroup
+    is enumerated (see the module docstring for the proof).
 
     Raises CosetLimitExceeded when the enumeration does not close within
     ``max_cosets`` live cosets (infinite group, or limit too low).
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    if p.ngens == 0:
-        return 1
     table = _CosetTable(p.ngens, p.relators, max_cosets)
-    power = _power_subgroup(table.words, table.involutions) if p.ngens >= 2 else None
-    if power is not None:
-        gens, m = power
-        table._start(gens)  # the table is still empty
+    dihedral = _dihedral_subgroup(table.words, table.involutions) if p.ngens >= 2 else None
+    if dihedral is not None:
+        xy, m = dihedral
+        table._start(xy)  # the table is still empty
         index = table.enumerate()
         if table.subgroup_period() == m:
-            return index * m * len(gens)  # |H| = m, or 2m over a split
+            return index * 2 * m
         table = _CosetTable(p.ngens, p.relators, max_cosets)
     return table.enumerate()
 

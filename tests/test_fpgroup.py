@@ -229,7 +229,8 @@ def relabelled(ngens, rels, rng):
 def random_power_presentation(rng):
     """A von Dyck group <a, b | a^p, b^q, (ab)^r> or a rank-3 Coxeter group,
     three times in five with one more power of a short random word, relabelled:
-    finite and infinite groups, u^m with |<u>| = m and with less."""
+    finite and infinite groups, with and without a dihedral root, whose
+    product x y has order m on the cosets and less."""
     if rng.random() < 0.6:
         ngens = 2
         rels = [(1,) * rng.randint(2, 5), (2,) * rng.randint(2, 5), (1, 2) * rng.randint(2, 7)]
@@ -254,22 +255,36 @@ def coxeter_a6(extra=()):
     return Presentation([f"s{i}" for i in range(1, 7)], rels + list(extra))
 
 
-def power_subgroup(p):
-    """(gens, m): the generator words of the subgroup the table enumerates
-    over for p, and the power m of the relator root they come from, read
-    as the coset table reads the relators: modulo g^2 = 1 over every
-    involution g."""
+def dihedral_subgroup(p):
+    """((x, y), m): the dihedral subgroup's generator words that the table
+    enumerates over for p, and the power m of the relator (x y)^m they come
+    from, read as the coset table reads the relators: modulo g^2 = 1 over
+    every involution g.  None when p has no dihedral root."""
     table = _CosetTable(p.ngens, p.relators, 1)
-    return fpgroup._power_subgroup(table.words, table.involutions)
+    return fpgroup._dihedral_subgroup(table.words, table.involutions)
 
 
-def over_power(p, limit=10**6):
-    """(gens, m, index, period): the chosen subgroup's generator words, m,
-    the subgroup's index and the order of the permutation that the product
-    of its generators induces on its cosets."""
-    gens, m = power_subgroup(p)
-    table = _CosetTable(p.ngens, p.relators, limit, gens)
-    return gens, m, table.enumerate(), table.subgroup_period()
+def over_dihedral(p, limit=10**6):
+    """(xy, m, index, period): the dihedral subgroup's generator words, m,
+    the subgroup's index and the order of the permutation that x y induces
+    on its cosets."""
+    xy, m = dihedral_subgroup(p)
+    table = _CosetTable(p.ngens, p.relators, limit, xy)
+    return xy, m, table.enumerate(), table.subgroup_period()
+
+
+def recorded_enumerations(monkeypatch):
+    """The number of subgroup words of every _CosetTable.enumerate run from
+    now on, in a list that the caller may clear."""
+    runs = []
+    enumerate_ = _CosetTable.enumerate
+
+    def recorded(self):
+        runs.append(len(self.subgroup))
+        return enumerate_(self)
+
+    monkeypatch.setattr(_CosetTable, "enumerate", recorded)
+    return runs
 
 
 def triangle_237(k):
@@ -284,24 +299,36 @@ def coxeter(n, labels):
     return Presentation([f"s{i}" for i in range(1, n + 1)], rels)
 
 
+def a_labels(n, m12=3):
+    """The labels of A_n, or of B_n for m12 = 4."""
+    return {(i, i + 1): 3 for i in range(2, n)} | {(1, 2): m12}
+
+
 def enum_menu_groups():
     """The close ops of the benchmark's enum menu up to order 1092, with
     their orders: the Coxeter groups A3, B3, A4, A5, B4 and D4, (2,3,7;4),
     (2,3,7;7) and Z/450, Z/700, Z/1000."""
-
-    def a(n, m12=3):  # A_n, or B_n for m12 = 4
-        return {(i, i + 1): 3 for i in range(2, n)} | {(1, 2): m12}
-
     return [
-        (coxeter(3, a(3)), 24),
-        (coxeter(3, a(3, m12=4)), 48),
-        (coxeter(4, a(4)), 120),
-        (coxeter(5, a(5)), 720),
-        (coxeter(4, a(4, m12=4)), 384),
+        (coxeter(3, a_labels(3)), 24),
+        (coxeter(3, a_labels(3, m12=4)), 48),
+        (coxeter(4, a_labels(4)), 120),
+        (coxeter(5, a_labels(5)), 720),
+        (coxeter(4, a_labels(4, m12=4)), 384),
         (coxeter(4, {(2, 3): 3, (3, 4): 3, (1, 3): 3}), 192),
         (triangle_237(4), 168),
         (triangle_237(7), 1092),
     ] + [(cyclic_presentation(n), n) for n in (450, 700, 1000)]
+
+
+def dihedral_free_groups():
+    """Finite groups with no dihedral root, with their orders: Z/4 x Z/6,
+    Z/6 = <a, b | a^6, b^-1 a^2>, Z/2 and A_4."""
+    return [
+        (Presentation("ab", [(1,) * 4, (2,) * 6, (1, 2, -1, -2)]), 24),
+        (Presentation("ab", [(1,) * 6, (-2, 1, 1)]), 6),
+        (Presentation("ab", [(1,) * 6, (1,) * 4, (2, -1)]), 2),
+        (Presentation("ab", [(1,) * 3, (2,) * 3, (1, 2) * 2]), 12),
+    ]
 
 
 def power_groups():
@@ -315,39 +342,32 @@ def power_groups():
         (Presentation("abt", [(1, 1), (1,), (2, 2), (3, 3, 3), (1, 2) * 2, (2, 3) * 2]), 6),
         (Presentation("abc", [(1, 1), (3, 3), (2, 2, 2), (2, 1, 2, 3) * 3, (-1, -1, 3)]), 12),
         (Presentation("ab", [(1, 1), (2, 2), (1, 2) * 3]), 6),
-        (Presentation("ab", [(1,) * 4, (2,) * 6, (1, 2, -1, -2)]), 24),
-        (Presentation("ab", [(1,) * 6, (-2, 1, 1)]), 6),
-        (Presentation("ab", [(1,) * 6, (1,) * 4, (2, -1)]), 2),
-        (Presentation("ab", [(1,) * 3, (2,) * 3, (1, 2) * 2]), 12),
-    ]
+        (coxeter(3, {(1, 2): 3}), 12),
+    ] + dihedral_free_groups()
 
 
 class TestPowerSubgroup:
-    """|G| = |G:H| * |H| for H = <x, y>, |H| = 2m, when the root u = x y of
-    a power relator u^m (m >= 3) splits into two conjugates of involutions,
-    or H = <u>, |H| = m, when it does not; each when the permutation of u on
-    the cosets of H has order m.  Else the trivial subgroup's count."""
+    """|G| = |G:H| * |H| for H = <x, y>, |H| = 2m, when the root x y of a
+    power relator (x y)^m (m >= 3) splits into two conjugates of
+    involutions and x y permutes the cosets of H with order m.  Else the
+    trivial subgroup's count."""
 
     def test_highest_power_choice(self):
-        # modulo a^2 = 1, [a, b]^8 reads (a b a b^-1)^8 = (a . b a b^-1)^8:
-        # bound 16 against 7 for (ab)^7, whose b is no involution
-        assert power_subgroup(triangle_237(8)) == (((1,), (2, 1, -2)), 8)
-        # the split bound 2k beats 7 for k = 4 as well
-        assert power_subgroup(triangle_237(7)) == (((1,), (2, 1, -2)), 7)
-        assert power_subgroup(triangle_237(4)) == (((1,), (2, 1, -2)), 4)
-        # S_7: the first (s_i s_j)^3, bound 6
-        assert power_subgroup(coxeter_a6()) == (((1,), (2,)), 3)
-        # the first on ties, g^2 counts as m = 2, no power gives None
-        assert power_subgroup(Presentation("ab", [(2, 2, 2), (1, 1, 1)])) == (((2,),), 3)
-        assert power_subgroup(Presentation("ab", [(1, -2, 1, -2), (-2, -2)])) == (((1, 2),), 2)
-        assert power_subgroup(Presentation("ab", [(1, 2, -1, -2), (-2, -2)])) == (((2,),), 2)
-        assert power_subgroup(Presentation("ab", [(1, 2, -1, -2)])) is None
+        # modulo a^2 = 1, [a, b]^8 reads (a b a b^-1)^8 = (a . b a b^-1)^8;
+        # (ab)^7 has no split, since b is no involution
+        assert dihedral_subgroup(triangle_237(8)) == (((1,), (2, 1, -2)), 8)
+        assert dihedral_subgroup(triangle_237(7)) == (((1,), (2, 1, -2)), 7)
+        assert dihedral_subgroup(triangle_237(4)) == (((1,), (2, 1, -2)), 4)
+        assert dihedral_subgroup(Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7])) is None
+        # S_7: the first (s_i s_j)^3; the largest m wins, the first on ties
+        assert dihedral_subgroup(coxeter_a6()) == (((1,), (2,)), 3)
+        assert dihedral_subgroup(coxeter_a6([(2, 3) * 3, (3, 4) * 6])) == (((3,), (4,)), 6)
+        # no relator with a split root gives None
+        assert dihedral_subgroup(Presentation("ab", [(2, 2, 2), (1, 1, 1)])) is None
+        assert dihedral_subgroup(Presentation("ab", [(1, 2, -1, -2)])) is None
         # a half w g w, not w g w^-1, is no conjugate of an involution
-        assert power_subgroup(Presentation("abc", [(1, 1), (3, 3), (2, 1, 2, 3) * 3])) == (
-            ((2, 1, 2, 3),),
-            3,
-        )
-        assert power_subgroup(Presentation("abc", [(1, 1), (3, 3), (2, 1, -2, 3) * 3])) == (
+        assert dihedral_subgroup(Presentation("abc", [(1, 1), (3, 3), (2, 1, 2, 3) * 3])) is None
+        assert dihedral_subgroup(Presentation("abc", [(1, 1), (3, 3), (2, 1, -2, 3) * 3])) == (
             ((2, 1, -2), (3,)),
             3,
         )
@@ -356,7 +376,8 @@ class TestPowerSubgroup:
         # a = 1, so <a, b> = <b> has order 2, not 4: a split of (ab)^2
         # would claim 3 * 4 = 12 for this S_3
         p = Presentation("abt", [(1, 1), (1,), (2, 2), (3, 3, 3), (1, 2) * 2, (2, 3) * 2])
-        assert power_subgroup(p) == (((3,),), 3)
+        assert fpgroup._dihedral_split((1, 2), {1, 2}) == ((1,), (2,))
+        assert dihedral_subgroup(p) is None
         assert todd_coxeter_order(p) == 6
 
     def test_half_w_g_w_is_no_split(self):
@@ -370,87 +391,95 @@ class TestPowerSubgroup:
         # <a, b> is the whole group, which need not be cyclic: S_3, whose
         # abelianization has order 2
         p = Presentation("ab", [(1, 1), (2, 2), (1, 2) * 3])
-        assert over_power(p) == (((1,), (2,)), 3, 1, 1)
+        assert over_dihedral(p) == (((1,), (2,)), 3, 1, 1)
         assert abelianization(p).order() == 2
         assert todd_coxeter_order(p) == 6
 
     def test_orders_agree_with_the_trivial_subgroup(self):
         rng = random.Random(16)
         limit = 1000
-        certified = dihedral = fell_back = refused = 0
+        certified = fell_back = refused = no_root = 0
         for _ in range(800):
             p = random_power_presentation(rng)
+            if dihedral_subgroup(p) is None:
+                # one enumeration of the trivial subgroup, under the same limit
+                no_root += 1
+                try:
+                    want = _CosetTable(p.ngens, p.relators, limit).enumerate()
+                except CosetLimitExceeded:
+                    with pytest.raises(CosetLimitExceeded):
+                        todd_coxeter_order(p, limit)
+                    continue
+                assert todd_coxeter_order(p, limit) == want, p
+                continue
             try:
-                gens, m, index, period = over_power(p, limit)
+                xy, m, index, period = over_dihedral(p, limit)
             except CosetLimitExceeded:
                 # a limit the enumeration over H hits is final
                 with pytest.raises(CosetLimitExceeded):
                     todd_coxeter_order(p, limit)
                 refused += 1
                 continue
-            assert period <= m and m % period == 0
+            assert m >= 3 and m % period == 0
             try:
                 want = _CosetTable(p.ngens, p.relators, limit).enumerate()
             except CosetLimitExceeded:
                 want = _CosetTable(p.ngens, p.relators, 10**5).enumerate()
             if period == m:
                 certified += 1
-                dihedral += len(gens) == 2
-                assert index * m * len(gens) == want, p
+                assert index * 2 * m == want, p
             else:
                 fell_back += 1
             assert todd_coxeter_order(p, 10**5) == want, p
         assert certified >= 30 and fell_back >= 60 and refused >= 60
-        assert dihedral >= 30
+        assert no_root >= 300
 
     def test_unproved_power_falls_back(self):
         # (s1 s2)^6 holds in S_7 but s1 s2 has order 3: n * 2m would be 10080
         p = coxeter_a6([(1, 2) * 6])
-        assert over_power(p) == (((1,), (2,)), 6, 840, 3)
+        assert over_dihedral(p) == (((1,), (2,)), 6, 840, 3)
         assert todd_coxeter_order(p) == 5040
 
     def test_normal_subgroup_falls_back(self):
-        # Z/4 x Z/6: <b> is normal, so b fixes every coset of it
-        p = Presentation("ab", [(1,) * 4, (2,) * 6, (1, 2, -1, -2)])
-        assert over_power(p) == (((2,),), 6, 4, 1)
-        assert todd_coxeter_order(p) == 24
+        # S_3 x Z/2: <s1, s2> is normal, so s1 s2 fixes both of its cosets
+        p = coxeter(3, {(1, 2): 3})
+        assert over_dihedral(p) == (((1,), (2,)), 3, 2, 1)
+        assert todd_coxeter_order(p) == 12
 
     def test_index_one_falls_back(self, monkeypatch):
-        # index 1 proves nothing by itself: u fixes the one coset, k = 1 < m,
-        # so the trivial subgroup is enumerated after <u>, as for any k < m
-        # b = a^2, so <a> is the whole group: Z/6
-        z6 = Presentation("ab", [(1,) * 6, (-2, 1, 1)])
-        # a^6 is the highest power, but a^4 = 1 too and b = a: Z/2
-        z2 = Presentation("ab", [(1,) * 6, (1,) * 4, (2, -1)])
-        for p in (z6, z2):
-            assert over_power(p) == (((1,),), 6, 1, 1)
-        runs = []
-        enumerate_ = _CosetTable.enumerate
+        # index 1 proves nothing by itself: x y fixes the one coset, k = 1 < m,
+        # so the trivial subgroup is enumerated after <x, y>, as for any k < m
+        s3 = Presentation("ab", [(1, 1), (2, 2), (1, 2) * 3])
+        # (ab)^6 is the largest power, but (ba)^3 holds too: S_3 again
+        s3_6 = Presentation("ab", [(1, 1), (2, 2), (1, 2) * 6, (2, 1) * 3])
+        for p in (s3, s3_6):
+            assert over_dihedral(p)[2:] == (1, 1)
+        runs = recorded_enumerations(monkeypatch)
+        for p in (s3, s3_6):
+            runs.clear()
+            assert todd_coxeter_order(p) == 6
+            assert runs == [2, 0]
 
-        def recorded(self):
-            runs.append([len(fwd) for fwd, _bwd in self.subgroup])
-            return enumerate_(self)
-
-        monkeypatch.setattr(_CosetTable, "enumerate", recorded)
-        for p, n in ((z6, 6), (z2, 2)):
+    def test_no_dihedral_root_enumerates_the_trivial_subgroup_once(self, monkeypatch):
+        for p, _n in dihedral_free_groups():
+            assert dihedral_subgroup(p) is None
+        runs = recorded_enumerations(monkeypatch)
+        for p, n in dihedral_free_groups():
             runs.clear()
             assert todd_coxeter_order(p) == n
-            assert runs == [[1], []]
+            assert runs == [0]
 
     def test_proved_power(self):
-        # over <a b a b^-1> and <a> . <b a b^-1>: 1344 * 8 = 672 * 16
+        # over <a> . <b a b^-1>, and over <a b a b^-1> as a table over one
+        # word: 672 * 16 = 1344 * 8
         p = triangle_237(8)
-        assert over_power(p) == (((1,), (2, 1, -2)), 8, 672, 8)
+        assert over_dihedral(p) == (((1,), (2, 1, -2)), 8, 672, 8)
         table = _CosetTable(p.ngens, p.relators, 10**6, ((1, 2, 1, -2),))
         assert (table.enumerate(), table.subgroup_period()) == (1344, 8)
         assert todd_coxeter_order(p) == 10752
         # S_7 over <s1, s2> = S_3: 840 * 6
-        assert over_power(coxeter_a6()) == (((1,), (2,)), 3, 840, 3)
+        assert over_dihedral(coxeter_a6()) == (((1,), (2,)), 3, 840, 3)
         assert todd_coxeter_order(coxeter_a6()) == 5040
-        # A_4 over <a>, no split: 4 * 3
-        p = Presentation("ab", [(1,) * 3, (2,) * 3, (1, 2) * 2])
-        assert over_power(p) == (((1,),), 3, 4, 3)
-        assert todd_coxeter_order(p) == 12
 
     def test_limit_bounds_the_enumeration_that_runs(self, monkeypatch):
         p = triangle_237(8)
@@ -458,19 +487,34 @@ class TestPowerSubgroup:
         with pytest.raises(CosetLimitExceeded):
             _CosetTable(p.ngens, p.relators, 5000).enumerate()
         assert todd_coxeter_order(p, 5000) == 10752
-        # the infinite (2,3,7) triangle group: refused by the enumeration over
-        # <ab>, with no fallback
-        runs = []
-        enumerate_ = _CosetTable.enumerate
-
-        def recorded(self):
-            runs.append([len(fwd) for fwd, _bwd in self.subgroup])
-            return enumerate_(self)
-
-        monkeypatch.setattr(_CosetTable, "enumerate", recorded)
+        # the infinite (2,3,7) triangle group has no dihedral root: refused
+        # by one enumeration of the trivial subgroup
+        runs = recorded_enumerations(monkeypatch)
         with pytest.raises(CosetLimitExceeded, match="more than 4000 live cosets"):
             todd_coxeter_order(Presentation("ab", [(1, 1), (2, 2, 2), (1, 2) * 7]), 4000)
-        assert runs == [[2]]
+        assert runs == [0]
+
+    def test_enum_menu_relabellings_are_proved_over_dihedral_subgroups(self, monkeypatch):
+        # every multi-generator close op of the benchmark's enum menu, under
+        # generator permutations, rotated and inverted relators, is proved by
+        # one enumeration over <x, y>: a split that goes unseen would fall
+        # back to the trivial subgroup, with the right order but 128 561
+        # cosets defined for (2,3,7;8) instead of 8 275
+        groups = [(p, n) for p, n in enum_menu_groups() if p.ngens > 1]
+        groups += [
+            (coxeter_a6(), 5040),
+            (coxeter(5, a_labels(5, m12=4)), 3840),
+            (triangle_237(8), 10752),
+        ]
+        assert len(groups) == 11
+        runs = recorded_enumerations(monkeypatch)
+        for i, (base, order) in enumerate(groups):
+            rng = random.Random(i)
+            for _ in range(10):
+                p = relabelled(base.ngens, base.relators, rng)
+                runs.clear()
+                assert todd_coxeter_order(p) == order
+                assert runs == [2], p
 
 
 def is_cyclic_of_order(p, n):

@@ -447,31 +447,19 @@ def certified_presentations(monkeypatch):
     return out
 
 
-def test_unproved_subgroups_fall_back_to_the_trivial_one(monkeypatch):
-    # E2-E5 (<u> of index 1) and P3 (index 3, u fixes every coset): u's
-    # permutation has order k < m, so the trivial subgroup is enumerated
-    # after <u>.  Every other scenario with generators enumerates once.
-    presentations = certified_presentations(monkeypatch)
-    not_once = {sid: runs for sid, (_p, runs) in presentations.items() if len(runs) != 1}
-    assert not_once == {
-        "E2": [[1], []],
-        "E3": [[1], []],
-        "E4": [[1], []],
-        "E5": [[1], []],
-        "P3": [[2], []],
-        "dP": [],  # no generators: order 1 with nothing to enumerate
-    }
+def test_every_scenario_enumerates_once(monkeypatch):
+    # No catalogue presentation has a dihedral root, so each of the 23,
+    # dP's of no generators included, enumerates the trivial subgroup
+    # exactly once, E2-E5 and P3 (which have power relators) among them
+    runs = {sid: r for sid, (_p, r) in certified_presentations(monkeypatch).items()}
+    assert runs == dict.fromkeys(EXPECTED_ORDERS, [[]])
 
 
 def test_orders_need_no_smith_form(monkeypatch):
     """Coset enumeration and the Smith form are the two independent routes
     to every order, so todd_coxeter_order must not reach the Smith form."""
-    groups = [
-        (p, EXPECTED_ORDERS[sid])
-        for sid, (p, _runs) in certified_presentations(monkeypatch).items()
-        if p.ngens
-    ]
-    assert len(groups) == 22
+    groups = [(p, EXPECTED_ORDERS[sid]) for sid, (p, _runs) in certified_presentations(monkeypatch).items()]
+    assert len(groups) == 23
     groups += enum_menu_groups() + power_groups()
 
     def refused(*args):
