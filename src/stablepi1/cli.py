@@ -14,7 +14,8 @@ value ``--``.  ``--catalogue-dir`` is read as a ``Path``, so ``./cat/``
 names ``cat`` in every message.
 
 Exit codes: 0 success / all pass / help, 1 verification failure, 2 usage or
-input error, a catalogue directory without scenario files included.  A
+input error, a catalogue directory without scenario files included, 141 when
+the reader closes standard output early (nothing goes to stderr then).  A
 usage error prints a ``usage: stablepi1 ...`` line to stderr.  A scenario
 file is named after its id: ``run <id>`` reads ``<id>.scn`` alone, and a
 file whose id is not its name fails ``verify-all`` and stops ``list``.
@@ -399,8 +400,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint():
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    """``main`` as a program: a reader that closes the pipe early ends it
+    with status 141 (128 + SIGPIPE), as it would a C program, not with a
+    traceback."""
+    try:
+        status = main()
+        sys.stdout.flush()  # short outputs are written only here
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: let that write go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        status = 141
+    raise SystemExit(status)

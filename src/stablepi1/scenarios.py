@@ -12,6 +12,8 @@ section:
                                  ``vector NAME ints...`` lines
 
 Integers are ASCII digits, after a '-' where a negative value is allowed.
+Every name is defined once: a second meta or expected key, complex, basepoint,
+map vertex or edge source, torus scalar, matrix or vector is a ``ParseError``.
 Conventions for torus data: translations of group generators are integers
 over the declared ``denominator``; cover lattices, deck transformations and
 curve-class rows are written in the scaled coordinates (ambient coordinates
@@ -68,15 +70,18 @@ Scenario = namedtuple("Scenario", "id kind payload expected_order expected_cycli
 
 
 class Report:
-    """One scenario's result.  ``meta`` is the scenario's meta section, kept
-    for tables; it is not part of the report, so == and repr leave it out."""
+    """One scenario's result, built by ``run_scenario`` or, for a file that
+    does not parse, by ``verify_catalogue``.  A failed run keeps its checks
+    and carries ``error`` as "{type}: {message}", no order and an empty
+    presentation; the verdict is pass iff there is no error and the order
+    and cyclicity match.  ``meta`` is the scenario's meta section, kept for
+    tables; it is not part of the report."""
 
     __slots__ = ("scenario", "order", "cyclic", "abelianization", "presentation", "expected_order",
                  "expected_cyclic", "verdict", "elapsed_ms", "checks", "error", "meta")
-    _FIELDS = __slots__[:-1]
 
     def __init__(self, scenario, order, cyclic, abelianization, presentation, expected_order,
-                 expected_cyclic, verdict, elapsed_ms, checks=(), error=None, meta=None):
+                 expected_cyclic, verdict, elapsed_ms, checks, error, meta):
         self.scenario = scenario
         self.order = order
         self.cyclic = cyclic
@@ -88,19 +93,7 @@ class Report:
         self.elapsed_ms = elapsed_ms
         self.checks = checks
         self.error = error
-        self.meta = {} if meta is None else meta
-
-    def _key(self):
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if other.__class__ is Report else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"Report({', '.join(f'{n}={getattr(self, n)!r}' for n in self._FIELDS)})"
+        self.meta = meta
 
     @property
     def passed(self):
@@ -183,6 +176,11 @@ def load_scenario(path) -> Scenario:
     def fail(lineno, msg):
         raise ParseError(f"{path}:{lineno}: {msg}")
 
+    def define(lineno, table, name, value, what):
+        if name in table:
+            fail(lineno, f"{what} {name} is defined twice")
+        table[name] = value
+
     def integers(lineno, tokens, msg, signed=True):
         try:
             return [_int_token(t, signed) for t in tokens]
@@ -213,7 +211,7 @@ def load_scenario(path) -> Scenario:
                 fail(lineno, "complex needs a name")
             section = "complex"
             current_complex = _ComplexBuilder()
-            complexes[toks[1]] = current_complex
+            define(lineno, complexes, toks[1], current_complex, "complex")
             continue
         if key == "map":
             section = "map"
@@ -225,13 +223,14 @@ def load_scenario(path) -> Scenario:
         if section == "meta":
             if len(toks) < 2:
                 fail(lineno, "meta lines are 'key value...'")
-            meta[key] = " ".join(toks[1:])
+            define(lineno, meta, key, " ".join(toks[1:]), "meta key")
         elif section == "expected":
             usage = "expected lines are 'order <n>' or 'cyclic yes|no'"
             if key == "order" and len(toks) == 2:
-                expected["order"] = integers(lineno, toks[1:], usage, signed=False)[0]
+                value = integers(lineno, toks[1:], usage, signed=False)[0]
+                define(lineno, expected, key, value, "expected")
             elif key == "cyclic" and len(toks) == 2 and toks[1] in ("yes", "no"):
-                expected["cyclic"] = toks[1] == "yes"
+                define(lineno, expected, key, toks[1] == "yes", "expected")
             else:
                 fail(lineno, usage)
         elif section == "complex":
@@ -239,6 +238,8 @@ def load_scenario(path) -> Scenario:
             if key == "vertex" and len(toks) == 2:
                 b.vertices.append(toks[1])
             elif key == "basepoint" and len(toks) == 2:
+                if b.basepoint is not None:
+                    fail(lineno, "basepoint is defined twice")
                 b.basepoint = toks[1]
             elif key == "edge" and len(toks) == 4:
                 b.edges.append((toks[1], toks[2], toks[3]))
@@ -248,9 +249,9 @@ def load_scenario(path) -> Scenario:
                 fail(lineno, f"bad complex line '{' '.join(toks)}'")
         elif section == "map":
             if key == "vertex" and len(toks) == 3:
-                vmap[toks[1]] = toks[2]
+                define(lineno, vmap, toks[1], toks[2], "map vertex")
             elif key == "edge" and len(toks) == 3:
-                emap[toks[1]] = _signed_token(toks[2])
+                define(lineno, emap, toks[1], _signed_token(toks[2]), "map edge")
             else:
                 fail(lineno, f"bad map line '{' '.join(toks)}'")
         elif section == "torus":
@@ -259,18 +260,17 @@ def load_scenario(path) -> Scenario:
                 if len(toks) != 4:
                     fail(lineno, usage)
                 nrows, ncols = integers(lineno, toks[2:], usage, signed=False)
-                if nrows == 0:
-                    tdata["matrices"][toks[1]] = IntMatrix.zeros(0, ncols)
-                else:
+                # the empty matrix stands in until the rows are read
+                define(lineno, tdata["matrices"], toks[1], IntMatrix.zeros(0, ncols), "matrix")
+                if nrows:
                     pending = (toks[1], ncols, nrows, [])
             elif key == "vector":
                 if len(toks) < 2:
                     fail(lineno, "vector lines are 'vector NAME ints...'")
-                tdata["vectors"][toks[1]] = integers(
-                    lineno, toks[2:], "vector entries must be integers"
-                )
+                value = integers(lineno, toks[2:], "vector entries must be integers")
+                define(lineno, tdata["vectors"], toks[1], value, "vector")
             elif key in TORUS_SCALARS:
-                tdata["scalars"][key] = " ".join(toks[1:])
+                define(lineno, tdata["scalars"], key, " ".join(toks[1:]), "torus scalar")
             else:
                 fail(lineno, f"unknown torus key '{key}'")
         else:
@@ -572,64 +572,23 @@ _RUNNERS = {
 }
 
 
-def _failed_report(sid, exc, expected_order=0, expected_cyclic=False, elapsed_ms=0.0, **rest):
-    """Failed report carrying ``exc``; the defaults are those of a file that
-    did not parse, and ``rest`` passes checks and meta on to the Report."""
-    return Report(
-        scenario=sid,
-        order=None,
-        cyclic=None,
-        abelianization=None,
-        presentation="",
-        expected_order=expected_order,
-        expected_cyclic=expected_cyclic,
-        verdict="fail",
-        elapsed_ms=elapsed_ms,
-        error=f"{type(exc).__name__}: {exc}",
-        **rest,
-    )
-
-
 def run_scenario(s: Scenario, max_cosets=DEFAULT_MAX_COSETS) -> Report:
     """Compute the scenario's fundamental-group invariants and compare."""
     start = time.perf_counter()
     checks = []
+    order = cyclic = inv = pres = error = None
     try:
         runner = _RUNNERS.get(type(s.payload))
         if runner is None:
             raise ValidationError(f"no runner for kind {s.kind}")
         pres = runner(s.payload, checks)
         order, cyclic, inv = _certify(pres, max_cosets, checks)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        verdict = (
-            "pass"
-            if order == s.expected_order and cyclic == s.expected_cyclic
-            else "fail"
-        )
-        return Report(
-            scenario=s.id,
-            order=order,
-            cyclic=cyclic,
-            abelianization=inv,
-            presentation=pres.describe(),
-            expected_order=s.expected_order,
-            expected_cyclic=s.expected_cyclic,
-            verdict=verdict,
-            elapsed_ms=round(elapsed, 3),
-            checks=tuple(checks),
-            meta=s.meta,
-        )
     except Exception as exc:  # computational failures become failed reports
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return _failed_report(
-            s.id,
-            exc,
-            expected_order=s.expected_order,
-            expected_cyclic=s.expected_cyclic,
-            elapsed_ms=round(elapsed, 3),
-            checks=tuple(checks),
-            meta=s.meta,
-        )
+        error = f"{type(exc).__name__}: {exc}"
+    elapsed = round((time.perf_counter() - start) * 1000.0, 3)
+    passed = error is None and order == s.expected_order and cyclic == s.expected_cyclic
+    return Report(s.id, order, cyclic, inv, "" if error else pres.describe(), s.expected_order,
+                  s.expected_cyclic, "pass" if passed else "fail", elapsed, tuple(checks), error, s.meta)
 
 
 def bundled_catalogue_dir():
@@ -653,7 +612,8 @@ def verify_catalogue(directory=None, max_cosets=DEFAULT_MAX_COSETS):
         try:
             scenario = load_catalogue_file(path)
         except (ParseError, ValidationError) as exc:
-            reports.append(_failed_report(path.stem, exc))
+            error = f"{type(exc).__name__}: {exc}"
+            reports.append(Report(path.stem, None, None, None, "", 0, False, "fail", 0.0, (), error, {}))
             continue
         reports.append(run_scenario(scenario, max_cosets))
     reports.sort(key=lambda r: r.scenario)

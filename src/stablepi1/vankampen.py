@@ -164,9 +164,9 @@ def pi1_presentation(c: GluingComplex) -> Pi1Data:
     for label, s, t in generators:
         back = [(l, -sg) for (l, sg) in reversed(path_from_base(t))]
         loops.append(tuple(path_from_base(s) + [(label, 1)] + back))
-    free = Pi1Data(Presentation(names, ()), tuple(loops), edge_generator, c)
-    relators = tuple(path_word(free, cell) for cell in c.two_cells)
-    return Pi1Data(Presentation(names, relators), free.loop_basis, edge_generator, c)
+    pi1 = Pi1Data(None, tuple(loops), edge_generator, c)  # path_word reads only edge_generator
+    pi1.presentation = Presentation(names, tuple(path_word(pi1, cell) for cell in c.two_cells))
+    return pi1
 
 
 def path_word(pi1: Pi1Data, path):

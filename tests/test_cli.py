@@ -64,6 +64,23 @@ def test_verify_all_runs_without_the_site():
     assert payload["passed"] == payload["total"] == 23
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify-all"], ["verify-all", "--format", "json"], ["run", "R3"], ["list"]]
+)
+def test_a_reader_that_quits_ends_with_status_141_and_no_traceback(argv):
+    # the read end is closed before the program starts: its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stablepi1", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=_src_env(), text=True,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_run_json(capsys):
     code, out, _err = run_cli(capsys, ["run", "P1", "--format", "json"])
     assert code == 0

@@ -14,9 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "stablepi1"
 
-ALLOWED = {
-    "cli.entrypoint": "the console script in pyproject.toml",
-}
+ALLOWED = {}
 
 # importer -> module.name of a private name it imports
 ALLOWED_PRIVATE = {

@@ -156,6 +156,33 @@ class TestLoad:
         assert summary == {"total": 1, "passed": 0, "all_pass": False}
         assert f"'{token}'" in reports[0].error
 
+    @pytest.mark.parametrize(
+        "name, old, new, line, what",
+        [
+            ("P1", "family P1", "family P1\nfamily P2", 9, "meta key family"),
+            ("P1", "cyclic yes", "cyclic yes\ncyclic no", 19, "expected cyclic"),
+            ("P1", "cell A B F G", "cell A B F G\ncomplex dbar", 45, "complex dbar"),
+            ("P1", "basepoint Q2", "basepoint Q2\nbasepoint Q1", 22, "basepoint"),
+            ("P1", "vertex Q1 Q", "vertex Q1 Q\nvertex Q1 Q", 48, "map vertex Q1"),
+            # the last edge line once won: P1 then computed order 2 and failed
+            ("P1", "edge a1 A", "edge a1 A\nedge a1 -B", 52, "map edge a1"),
+            ("R3", "mode isogeny", "mode isogeny\nmode isogeny", 19, "torus scalar mode"),
+            # the last matrix once won: R3 then ran on diag(1, 3) and passed
+            ("R3", "-1 2", "-1 2\ntorus\nmatrix isogeny 2 2\n1 0\n0 3", 23, "matrix isogeny"),
+            ("B1", "deck.translation 0 1 0 0", "deck.translation 0 1 0 0\n"
+             "vector deck.translation 0 0 0 1", 57, "vector deck.translation"),
+        ],
+        ids=["meta", "expected", "complex", "basepoint", "map-vertex", "map-edge",
+             "torus-scalar", "matrix", "vector"],
+    )
+    def test_a_name_defined_twice_is_refused(self, tmp_path, name, old, new, line, what):
+        text = (bundled_catalogue_dir() / f"{name}.scn").read_text()
+        assert text.count(old) == 1
+        bad = tmp_path / f"{name}.scn"
+        bad.write_text(text.replace(old, new))
+        with pytest.raises(ParseError, match=re.escape(f"{bad}:{line}: {what} is defined twice")):
+            load_scenario(bad)
+
 
 class TestRun:
     def test_interleaved_lines_order_five(self):
@@ -257,6 +284,61 @@ class TestRun:
         r = run_scenario(odd)
         assert not r.passed
         assert r.error == f"ValidationError: no runner for kind {s.kind}"
+
+    def test_failed_reports_on_every_route(self, tmp_path):
+        # every way a report can fail: its dict (less elapsed_ms), meta and verdict
+        def failed(sid, order, cyclic, checks, error):
+            return {"scenario": sid, "order": None, "cyclic": None, "abelianization": None,
+                    "expected": {"order": order, "cyclic": cyclic}, "verdict": "fail",
+                    "presentation": "", "checks": checks, "error": error}
+
+        (tmp_path / "broken.scn").write_text("meta\nid Z\n???\n")
+        (report,), _summary = verify_catalogue(tmp_path)
+        assert report.elapsed_ms == 0.0
+        error = f"ParseError: {tmp_path / 'broken.scn'}:3: meta lines are 'key value...'"
+        cases = [(report, failed("broken", 0, False, [], error), {})]
+
+        b1 = load_scenario(bundled_catalogue_dir() / "B1.scn")
+        report = run_b1_variant(
+            tmp_path,
+            (
+                "matrix deck.linear 4 4\n0 0 1 0\n0 0 0 1\n1 0 0 0\n0 1 0 0\n",
+                "matrix deck.linear 4 4\n-1 0 0 0\n0 -1 0 0\n0 0 -1 0\n0 0 0 -1\n",
+            ),
+            ("deck.translation 0 1 0 0", "deck.translation 0 0 0 0"),
+            ("deck_order 4", "deck_order 2"),
+        )
+        error = "ValidationError: deck transformation is not free"
+        cases.append((report, failed("B1", 4, True, ["free action of a group of order 4"], error), b1.meta))
+
+        path = tmp_path / "Z.scn"
+        path.write_text(
+            "meta\nid Z\nkind vankampen\nexpected\norder 1\ncyclic yes\n"
+            "complex dbar\nbasepoint P\nvertex P\n"
+            "complex d\nbasepoint Q\nvertex Q\nedge A Q Q\n"
+            "map\nvertex P Q\n"
+        )
+        checks = ["double-curve skeleton has graph rank 0", "glued over a simply connected normalisation"]
+        error = "ValidationError: group is infinite: abelianization Z"
+        meta = {"id": "Z", "kind": "vankampen"}
+        cases.append((run_scenario(load_scenario(path)), failed("Z", 1, True, checks, error), meta))
+
+        report = run_scenario(b1._replace(payload=object()))
+        error = "ValidationError: no runner for kind torus-lattice"
+        cases.append((report, failed("B1", 4, True, [], error), b1.meta))
+
+        r4 = load_scenario(bundled_catalogue_dir() / "R4.scn")
+        checks = ["isogeny cokernel is cyclic of order 4", "coset enumeration closed at order 4",
+                  "abelianization Z/4"]
+        wrong = failed("R4", 5, True, checks, None)
+        wrong.update(order=4, cyclic=True, abelianization={"free_rank": 0, "torsion": [4]},
+                     presentation="< t | t t t t >")
+        cases.append((run_scenario(r4._replace(expected_order=5)), wrong, r4.meta))
+
+        for report, expected, meta in cases:
+            d = report.to_dict()
+            assert isinstance(d.pop("elapsed_ms"), float)
+            assert (d, report.meta, report.passed) == (expected, meta, False)
 
     def test_report_dict_shape(self):
         s = load_scenario(bundled_catalogue_dir() / "P3.scn")
