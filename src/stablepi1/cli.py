@@ -78,7 +78,7 @@ def _table_md(reports):
             "| {} | {} | {} | {} | {} | {} | {} | {} |".format(
                 r.scenario,
                 r.order if r.order is not None else "-",
-                r.expected_order,
+                r.expected_order if r.expected_order is not None else "-",
                 {True: "yes", False: "no", None: "-"}[r.cyclic],
                 r.meta.get("normal", "-"),
                 r.meta.get("smoothable", "-"),

@@ -73,9 +73,10 @@ class Report:
     """One scenario's result, built by ``run_scenario`` or, for a file that
     does not parse, by ``verify_catalogue``.  A failed run keeps its checks
     and carries ``error`` as "{type}: {message}", no order and an empty
-    presentation; the verdict is pass iff there is no error and the order
-    and cyclicity match.  ``meta`` is the scenario's meta section, kept for
-    tables; it is not part of the report."""
+    presentation, and a file that does not parse no expectations either; the
+    verdict is pass iff there is no error and the order and cyclicity match.
+    ``meta`` is the scenario's meta section, kept for tables; it is not part
+    of the report."""
 
     __slots__ = ("scenario", "order", "cyclic", "abelianization", "presentation", "expected_order",
                  "expected_cyclic", "verdict", "elapsed_ms", "checks", "error", "meta")
@@ -319,7 +320,7 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
             raise ValidationError(f"{path}: vankampen needs complexes dbar, d and a map")
         dbar = _build_complex(path, "dbar", complexes["dbar"])
         d = _build_complex(path, "d", complexes["d"])
-        gluing = vankampen.GluingMap(dict(vmap), dict(emap))
+        gluing = vankampen.GluingMap(vmap, emap)
         try:
             vankampen.check_map(gluing, dbar, d)
         except vankampen.IncompatibleMap as exc:
@@ -447,17 +448,16 @@ def _run_constant(payload, checks):
 
 
 def _run_vankampen(payload, checks):
-    src = vankampen.pi1_presentation(payload.dbar)
-    tgt = vankampen.pi1_presentation(payload.d)
-    rank = len(payload.dbar.edges) - len(payload.dbar.vertices) + 1
-    if src.graph_rank != rank:
+    dbar, d = payload.dbar, payload.d
+    rank = len(dbar.edges) - len(dbar.vertices) + 1
+    if len(dbar.generators) != rank:
         raise ValidationError("spanning-tree rank disagrees with Euler count")
     checks.append(f"double-curve skeleton has graph rank {rank}")
-    images = vankampen.induced_hom(payload.gluing, src, tgt)
+    images = vankampen.induced_hom(payload.gluing, dbar, d)
     checks.append("glued over a simply connected normalisation")
     # the amalgam over a trivial normalisation group: pi_1(D) / <<image^-1>>
     return fpgroup.amalgamated_product(
-        fpgroup.trivial_presentation(), tgt.presentation, [((), w) for w in images]
+        fpgroup.trivial_presentation(), vankampen.pi1_presentation(d), [((), w) for w in images]
     )
 
 
@@ -613,7 +613,7 @@ def verify_catalogue(directory=None, max_cosets=DEFAULT_MAX_COSETS):
             scenario = load_catalogue_file(path)
         except (ParseError, ValidationError) as exc:
             error = f"{type(exc).__name__}: {exc}"
-            reports.append(Report(path.stem, None, None, None, "", 0, False, "fail", 0.0, (), error, {}))
+            reports.append(Report(path.stem, None, None, None, "", None, None, "fail", 0.0, (), error, {}))
             continue
         reports.append(run_scenario(scenario, max_cosets))
     reports.sort(key=lambda r: r.scenario)

@@ -2,17 +2,19 @@
 
 A GluingComplex stores the 1-skeleton of a nodal configuration (labelled
 vertices and oriented edges) together with the boundary words of its
-2-cells.  The fundamental group comes from a deterministic breadth-first
-spanning tree: non-tree edges are the generators, 2-cell boundaries rewrite
-to the relators.  A GluingMap between complexes induces a homomorphism edge
-by edge, and the group of the glued surface is the amalgamated product of
-the two sides over the double curve.  Every catalogue scenario has a simply
-connected normalisation, so the scenario runner builds that amalgam with
-``fpgroup.amalgamated_product`` from a trivial normalisation side and the
-image words: pi_1(D) modulo the normal closure of the image of pi_1(D-bar).
+2-cells.  Its deterministic breadth-first spanning tree, built with it,
+gives the generators (the non-tree edges); 2-cell boundaries rewrite to the
+relators.  A GluingMap, checked once by check_map, induces a homomorphism
+edge by edge: induced_hom(m, dbar, d) pushes each generator loop of D-bar,
+read off its tree, into D.  Every catalogue normalisation is simply
+connected, so the scenario runner glues with ``fpgroup.amalgamated_product``
+over a trivial normalisation side: pi_1(D) modulo the normal closure of the
+image words of pi_1(D-bar), which needs no presentation of D-bar.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .fpgroup import Presentation, reduce_word
 
@@ -22,7 +24,8 @@ class DisconnectedComplex(ValueError):
 
 
 class IncompatibleMap(ValueError):
-    """Edge images do not run between the images of their endpoints."""
+    """Edge images do not run between the images of their endpoints, or the
+    map names a vertex or edge its source lacks."""
 
 
 class GluingComplex:
@@ -30,8 +33,9 @@ class GluingComplex:
     closed paths as tuples of (edge label, +1/-1).  Compared by identity."""
 
     # tree is the BFS spanning tree, computed once: vertex -> None (basepoint)
-    # or the tree edge into it as (label, +1/-1, tail vertex)
-    __slots__ = ("vertices", "edges", "two_cells", "basepoint", "tree")
+    # or the tree edge into it as (label, +1/-1, tail vertex); generators are
+    # the non-tree edge labels in declared order, edge_generator label -> index
+    __slots__ = ("vertices", "edges", "two_cells", "basepoint", "tree", "generators", "edge_generator")
 
     def __init__(self, vertices, edges, two_cells, basepoint: str):
         vertices = tuple(str(v) for v in vertices)
@@ -76,6 +80,9 @@ class GluingComplex:
         self.tree = self._spanning_tree()
         if len(self.tree) != len(vertices):
             raise DisconnectedComplex("1-skeleton is not connected")
+        tree_edges = {edge[0] for edge in self.tree.values() if edge is not None}
+        self.generators = tuple(l for l in labels if l not in tree_edges)
+        self.edge_generator = {l: i for i, l in enumerate(self.generators)}
 
     def _spanning_tree(self):
         """BFS from the basepoint, edges scanned in declared order."""
@@ -92,18 +99,23 @@ class GluingComplex:
         return parent
 
 
-class GluingMap:
-    """Cellular map: vertex -> vertex and edge -> (edge, +1/-1)."""
+def _path_from_base(c: GluingComplex, v):
+    """The tree path from the basepoint of c to v, as (edge label, +1/-1)."""
+    steps = []
+    while c.tree[v] is not None:
+        label, sign, v = c.tree[v]
+        steps.append((label, sign))
+    steps.reverse()
+    return steps
 
-    __slots__ = ("vertex_map", "edge_map")
 
-    def __init__(self, vertex_map: dict, edge_map: dict):
-        self.vertex_map = vertex_map
-        self.edge_map = edge_map
+# Cellular map: vertex -> vertex and edge -> (edge, +1/-1).
+GluingMap = namedtuple("GluingMap", "vertex_map edge_map")
 
 
 def check_map(m: GluingMap, src: GluingComplex, tgt: GluingComplex):
-    """Raise IncompatibleMap unless m is incidence compatible src -> tgt."""
+    """Raise IncompatibleMap unless m is incidence compatible src -> tgt and
+    names no vertex or edge that src lacks."""
     tgt_edges = {l: (s, t) for (l, s, t) in tgt.edges}
     tgt_vertices = set(tgt.vertices)
     for v in src.vertices:
@@ -119,75 +131,41 @@ def check_map(m: GluingMap, src: GluingComplex, tgt: GluingComplex):
         tail, head = (s2, t2) if sign == 1 else (t2, s2)
         if (m.vertex_map[s], m.vertex_map[t]) != (tail, head):
             raise IncompatibleMap(f"edge {label} image disagrees with its endpoints")
+    extra = sorted(m.vertex_map.keys() - set(src.vertices))
+    if extra:
+        raise IncompatibleMap(f"vertex {extra[0]} is not in the source complex")
+    extra = sorted(m.edge_map.keys() - {l for (l, _s, _t) in src.edges})
+    if extra:
+        raise IncompatibleMap(f"edge {extra[0]} is not in the source complex")
 
 
-class Pi1Data:
-    """Presentation plus the combinatorics needed to push loops around:
-    one closed edge path per generator, and the non-tree edge -> generator
-    index map used to rewrite arbitrary closed paths."""
-
-    __slots__ = ("presentation", "loop_basis", "edge_generator", "complex")
-
-    def __init__(self, presentation, loop_basis, edge_generator, complex):
-        self.presentation = presentation
-        self.loop_basis = loop_basis
-        self.edge_generator = edge_generator
-        self.complex = complex
-
-    @property
-    def graph_rank(self):
-        return len(self.loop_basis)
+def pi1_presentation(c: GluingComplex) -> Presentation:
+    """Spanning-tree presentation of pi_1 of the complex: its generators,
+    and each 2-cell word rewritten over them as a relator."""
+    return Presentation(c.generators, tuple(path_word(c, cell) for cell in c.two_cells))
 
 
-def pi1_presentation(c: GluingComplex) -> Pi1Data:
-    """Spanning-tree presentation of pi_1 of the complex.
-
-    Generators are the non-tree edges in declared order; each 2-cell word,
-    rewritten over non-tree edges, is a relator.  The loop basis records the
-    tree-path conjugated loop of every generator for use by induced_hom.
-    """
-    parent = c.tree
-    tree_edges = {edge[0] for edge in parent.values() if edge is not None}
-
-    def path_from_base(v):
-        steps = []
-        while parent[v] is not None:
-            label, sign, v = parent[v]
-            steps.append((label, sign))
-        steps.reverse()
-        return steps
-
-    generators = [e for e in c.edges if e[0] not in tree_edges]
-    names = tuple(e[0] for e in generators)
-    edge_generator = {label: i for i, (label, _s, _t) in enumerate(generators)}
-    loops = []
-    for label, s, t in generators:
-        back = [(l, -sg) for (l, sg) in reversed(path_from_base(t))]
-        loops.append(tuple(path_from_base(s) + [(label, 1)] + back))
-    pi1 = Pi1Data(None, tuple(loops), edge_generator, c)  # path_word reads only edge_generator
-    pi1.presentation = Presentation(names, tuple(path_word(pi1, cell) for cell in c.two_cells))
-    return pi1
-
-
-def path_word(pi1: Pi1Data, path):
-    """Class of a closed edge path as a word in the pi1 generators."""
+def path_word(c: GluingComplex, path):
+    """Class of a closed edge path as a word in the pi1 generators of c."""
     word = []
     for label, sign in path:
-        g = pi1.edge_generator.get(label)
+        g = c.edge_generator.get(label)
         if g is not None:
             word.append(sign * (g + 1))
     return reduce_word(word)
 
 
-def induced_hom(m: GluingMap, src: Pi1Data, tgt: Pi1Data) -> tuple:
-    """The image word of each source generator: push its basis loop through
-    the map and rewrite it in the target generators."""
-    check_map(m, src.complex, tgt.complex)
+def induced_hom(m: GluingMap, dbar: GluingComplex, d: GluingComplex) -> tuple:
+    """The image word in d of each generator of dbar: its loop, the tree
+    path to the edge's tail, the edge and the tree path back from its head,
+    pushed through the map and rewritten in d's generators.  m must have
+    passed check_map."""
+    edge_map = m.edge_map
     images = []
-    for loop in src.loop_basis:
-        mapped = []
-        for label, sign in loop:
-            image, esign = m.edge_map[label]
-            mapped.append((image, sign * esign))
-        images.append(path_word(tgt, mapped))
+    for label, s, t in dbar.edges:
+        if label not in dbar.edge_generator:
+            continue
+        back = [(l, -sg) for (l, sg) in reversed(_path_from_base(dbar, t))]
+        loop = _path_from_base(dbar, s) + [(label, 1)] + back
+        images.append(path_word(d, [(edge_map[l][0], sg * edge_map[l][1]) for (l, sg) in loop]))
     return tuple(images)

@@ -235,11 +235,11 @@ def test_criterion_5d_edge_permutation_invariance():
                 payload.dbar.two_cells,
                 rng.choice(payload.dbar.vertices),
             )
-            src = vankampen.pi1_presentation(shuffled)
-            tgt = vankampen.pi1_presentation(payload.d)
-            images = vankampen.induced_hom(payload.gluing, src, tgt)
+            images = vankampen.induced_hom(payload.gluing, shuffled, payload.d)
             glued = fpgroup.amalgamated_product(
-                fpgroup.trivial_presentation(), tgt.presentation, [((), w) for w in images]
+                fpgroup.trivial_presentation(),
+                vankampen.pi1_presentation(payload.d),
+                [((), w) for w in images],
             )
             assert fpgroup.todd_coxeter_order(glued) == base.order
             assert fpgroup.abelianization(glued) == base.abelianization

@@ -1,8 +1,9 @@
 """No public API that only tests call, no private name across modules.
 
-Every public module-level function and class of ``src/stablepi1`` and every
-public method must be referenced, as a name or an attribute, somewhere in
-``src/`` or ``perfbench/`` other than its own definition.  No module of the
+Every public module-level function and class of ``src/stablepi1``, every
+public method and every module-level ``X = namedtuple(...)`` record must be
+referenced, as a name or an attribute, somewhere in ``src/`` or
+``perfbench/`` other than its own definition.  No module of the
 package may import another module's ``_private`` name, by name or as an
 attribute of the imported module.  Names kept for a stated reason are
 allowlisted.
@@ -22,10 +23,25 @@ ALLOWED_PRIVATE = {
 }
 
 
+def namedtuple_records(node):
+    """The names bound by a module-level ``X = namedtuple(...)``, else ()."""
+    if (
+        isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Name)
+        and node.value.func.id == "namedtuple"
+    ):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return ()
+
+
 def public_definitions():
-    """(qualified name, bare name) of every public function, class and method."""
+    """(qualified name, bare name) of every public function, class and
+    method, and of every namedtuple record."""
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name in namedtuple_records(node):
+                yield f"{path.stem}.{name}", name
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             if not node.name.startswith("_"):
@@ -40,7 +56,8 @@ def referenced_names():
     names = set()
     for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            # a name bound here (a namedtuple record's own definition) is no reference
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -51,6 +68,13 @@ def test_every_public_name_has_a_caller_outside_tests():
     used = referenced_names()
     unused = [q for q, name in public_definitions() if name not in used and q not in ALLOWED]
     assert unused == []
+
+
+def test_namedtuple_records_are_guarded():
+    defined = dict(public_definitions())
+    records = {"Scenario", "VanKampenPayload", "BiTriPayload", "ReduciblePayload",
+               "CoverPayload", "IsogenyPayload", "ConstantPayload"}
+    assert {f"scenarios.{r}" for r in records} | {"vankampen.GluingMap"} <= set(defined)
 
 
 def test_allowlist_names_only_defined_names_without_a_caller():

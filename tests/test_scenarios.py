@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from stablepi1 import fpgroup, torus
+from stablepi1 import fpgroup, torus, vankampen
+from stablepi1.cli import _table_md
 from stablepi1.scenarios import (
     BiTriPayload,
     ParseError,
@@ -184,6 +185,23 @@ class TestLoad:
             load_scenario(bad)
 
 
+    @pytest.mark.parametrize(
+        "old, new, what",
+        [
+            ("vertex Q4 Q", "vertex Q4 Q\nvertex Q9 Q", "vertex Q9"),
+            ("edge g2 G", "edge g2 G\nedge zz A", "edge zz"),
+        ],
+        ids=["vertex", "edge"],
+    )
+    def test_map_naming_a_cell_dbar_lacks_is_refused(self, tmp_path, old, new, what):
+        text = (bundled_catalogue_dir() / "P1.scn").read_text()
+        assert text.count(old) == 1
+        bad = tmp_path / "P1.scn"
+        bad.write_text(text.replace(old, new))
+        with pytest.raises(ValidationError, match=f"{what} is not in the source complex"):
+            load_scenario(bad)
+
+
 class TestRun:
     def test_interleaved_lines_order_five(self):
         s = load_scenario(bundled_catalogue_dir() / "X1.5.scn")
@@ -295,8 +313,10 @@ class TestRun:
         (tmp_path / "broken.scn").write_text("meta\nid Z\n???\n")
         (report,), _summary = verify_catalogue(tmp_path)
         assert report.elapsed_ms == 0.0
+        # a file that does not parse declares no expectations
+        assert _table_md([report]).splitlines()[-1] == "| broken | - | - | - | - | - | - | fail |"
         error = f"ParseError: {tmp_path / 'broken.scn'}:3: meta lines are 'key value...'"
-        cases = [(report, failed("broken", 0, False, [], error), {})]
+        cases = [(report, failed("broken", None, None, [], error), {})]
 
         b1 = load_scenario(bundled_catalogue_dir() / "B1.scn")
         report = run_b1_variant(
@@ -551,6 +571,28 @@ def test_orders_need_no_smith_form(monkeypatch):
     monkeypatch.setattr(fpgroup, "cokernel_invariants", refused)
     for p, n in groups:
         assert fpgroup.todd_coxeter_order(p) == n, p.describe()
+
+
+def test_each_gluing_map_is_checked_once_and_only_d_is_presented(monkeypatch):
+    # load checks each map; the runner presents pi_1(D) and never pi_1(D-bar)
+    calls = {"check_map": 0, "pi1_presentation": 0}
+
+    def counted(name):
+        real = getattr(vankampen, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(vankampen, name, wrapper)
+
+    counted("check_map")
+    counted("pi1_presentation")
+    glued = [s for s in load_catalogue() if s.kind == "vankampen"]
+    assert len(glued) == 8
+    for s in glued:
+        assert run_scenario(s).passed, s.id
+    assert calls == {"check_map": 8, "pi1_presentation": 8}
 
 
 def test_catalogue_passes_at_seven_live_cosets():
