@@ -25,11 +25,15 @@ The rows above the changed ones are reduced on one of two schedules.  When
 columns ride along, they are reduced by the changed rows before the next
 row comes in, as Kannan and Bachem do: a transform is not unique, and
 left unreduced its entries grow (U of a rank-deficient 40 x 40 matrix
-went from 43 to 2144 bits).  When none ride along, as for the
-cokernel, the Hermite form and the rider-free Smith rounds, the other rows
-are left as they are, so they cannot grow, and every row is reduced once,
-bottom up, after the last insertion; H is unique, so both schedules return
-the same form.
+went from 43 to 2144 bits).  When none ride along, the other rows are left
+as they are, so they cannot grow, and the basis is echelon with positive
+pivots when the last row is in.  Only the callers that read the unique
+form, ``hermite_normal_form``, ``saturation`` and the rider-free Smith
+rounds, then reduce every row once, bottom up; H is unique, so both
+schedules return the same form.  ``cokernel_invariants`` and
+``lattice_contains`` read the echelon basis as it is: any basis fixes the
+invariants, and substitution decides membership on any echelon basis with
+positive pivots (Cohen, GTM 138, sec. 2.4).
 
 A Smith form alternates the kernel, as Kannan and Bachem do: ``_smith_rows``
 inserts the columns of the matrix, with the rows of V^T riding along, then
@@ -37,15 +41,18 @@ its rows, with those of U, and again, until the matrix is diagonal; no
 matrix product is formed.  One 2 x 2 unimodular step per pair of diagonal
 entries that breaks the divisibility chain ends it.  A round that leaves
 the first unsettled position and its pivot as they were raises
-``RuntimeError`` instead of looping.  Every Smith form, transforms
-included, is that of the Hermite rows H of the input, not of the raw
-matrix, so U and V stay near the size of H's entries:
+``RuntimeError`` instead of looping.  Every Smith form is taken of an
+echelon basis of the input's row span, not of the raw matrix, so U and V
+stay near the size of H's entries:
 
-- ``cokernel_invariants``: the diagonal, no transform.  A row of H with
-  pivot 1 has that pivot's column equal to its unit vector, so the pair
-  leaves Z^n / L as it was; those pairs are dropped first (``_deflate``),
-  and the kernel runs on what is left, at most a 1 x 1 matrix for the
-  relation matrices of the catalogue's groups;
+- ``cokernel_invariants``: the diagonal, no transform.  A row with pivot 1
+  at column p identifies generator p with a combination of the generators
+  after it, so ``_deflate`` eliminates it, top down, as a Tietze move: the
+  row is substituted into the kept rows above it that are nonzero at p,
+  and is dropped with column p.  The rows below it are zero at p, so the
+  substitutions touch the few kept rows only, and the kernel runs on what
+  is left, at most a 1 x 1 matrix for the relation matrices of the
+  catalogue's groups;
 - ``smith_normal_form``: U and V.  The Hermite step carries U1 with U1*A = H
   (each input row is followed by its row of the identity), and U starts
   from U1, so U2*U1 comes back;
@@ -61,13 +68,14 @@ float or str); matrices computed from checked ones (products, identities,
 normal forms) skip the check, and ``IntMatrix.identity`` is cached per rank.
 
 Lattice coordinates come from Hermite substitution: ``solve_integral``
-walks the rows of a Hermite basis in order, each row clearing its pivot
-column of the target, and a remainder or a nonzero residue means the target
-is not in the lattice (Cohen, GTM 138, ch. 2).  ``lattice_contains`` is that
-solve on the Hermite form of its generators, and ``membership`` needs no
-solve at all: it reads its answer off the left kernel of A.  A rational
-vector is integer numerators over one denominator, so its coordinates are
-those of a scaled integer vector; no ``Fraction`` is built anywhere.
+walks the rows of an echelon basis with positive pivots in order, each row
+clearing its pivot column of the target, and a remainder or a nonzero
+residue means the target is not in the lattice (Cohen, GTM 138, ch. 2).
+``lattice_contains`` is that solve on the kernel's echelon basis of its
+generators, and ``membership`` needs no solve at all: it reads its answer
+off the left kernel of A.  A rational vector is integer numerators over one
+denominator, so its coordinates are those of a scaled integer vector; no
+``Fraction`` is built anywhere.
 """
 
 from __future__ import annotations
@@ -454,24 +462,30 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
 
 def _deflate(h):
-    """The Hermite rows ``h`` without their unit pivots: the rows whose
-    pivot is not 1, with the pivot columns of those whose pivot is 1 left
-    out.  A row with pivot 1 at column p has column p equal to its unit
-    vector, every entry above the pivot being reduced into [0, 1), so it
-    identifies generator p with a combination of the others and nothing
-    else mentions p: dropping the pair leaves Z^n / L as it was (Havas,
-    Majewski and Matthews, 1998).  What is left is a Hermite form of full
-    row rank again."""
+    """The echelon rows ``h`` without their unit pivots, by Tietze
+    elimination, top down.  A row with pivot 1 at column p identifies
+    generator p with a combination of the generators after it, so it is
+    substituted into the kept rows above it that are nonzero at p, and is
+    then dropped with column p; that leaves Z^n / L as it was (Havas,
+    Majewski and Matthews, 1998).  The rows below it are zero at p and the
+    unit rows above it are gone already, so a substitution touches the kept
+    rows only, and in a Hermite form, whose entries above a unit pivot are
+    0, none fires.  What is left is echelon with positive pivots and full
+    row rank again.  ``h`` is not changed."""
     units = set()  # pivot columns of the rows with pivot 1
     rest = []
     p = 0
     for row in h:
         while not row[p]:
             p += 1
-        if row[p] == 1:
-            units.add(p)
-        else:
+        if row[p] != 1:
             rest.append(row)
+            continue
+        units.add(p)
+        for i, kept in enumerate(rest):
+            q = kept[p]
+            if q:
+                rest[i] = kept[:p] + [x - q * y for x, y in zip(kept[p:], row[p:])]
     if not units:
         return h
     keep = [j for j in range(len(h[0])) if j not in units]
@@ -480,11 +494,12 @@ def _deflate(h):
 
 def cokernel_invariants(a: IntMatrix, ambient_rank: int) -> AbelianInvariants:
     """Invariants of Z^ambient_rank modulo the row span of ``a``: the Smith
-    diagonal of the Hermite rows of ``a``, which span the same lattice, with
-    their unit pivots dropped first (``_deflate``)."""
+    diagonal of an echelon basis of that span, with its unit pivots
+    eliminated first (``_deflate``).  The invariants do not depend on the
+    basis, so the Hermite form's final reduction is skipped."""
     if a.cols != ambient_rank:
         raise ValueError("rows of a must live in Z^ambient_rank")
-    h, _kernel = _hermite_rows(a.to_rows(), a.cols)
+    h, _kernel = _hermite_rows(a.to_rows(), a.cols, echelon=True)
     m = _deflate(h)
     diag = _smith_rows(m)[0] if m else ()
     return AbelianInvariants(ambient_rank - len(h), tuple(d for d in diag if d > 1))
@@ -522,7 +537,7 @@ def _reduce_row(basis, pivots, sparse, k, start):
                 sparse[k] = None
 
 
-def _hermite_rows(rows, width):
+def _hermite_rows(rows, width, echelon=False):
     """Hermite form of the row span of ``rows``, by row insertion; returns
     (basis, kernel).
 
@@ -542,7 +557,10 @@ def _hermite_rows(rows, width):
     row is reduced once, bottom up, after the last one: the other rows do
     not change until then, so they cannot grow, and H is unique, so both
     schedules return it.  Riders are not unique, and deferring their
-    reduction lets them grow.
+    reduction lets them grow.  With ``echelon`` true that last pass is
+    skipped: the basis is then echelon with positive pivots but not
+    necessarily reduced, which is all a caller that reads neither H nor the
+    riders needs.
     """
     basis = []  # the Hermite rows, in pivot order
     pivots = []  # pivot column of each basis row
@@ -628,7 +646,7 @@ def _hermite_rows(rows, width):
                 if j > k and h[pivots[j]] // basis[j][pivots[j]]:
                     _reduce_row(basis, pivots, sparse, k, j)
                     break
-    if defer:
+    if defer and not echelon:
         for k in range(len(basis) - 2, -1, -1):
             _reduce_row(basis, pivots, sparse, k, k + 1)
     return basis, kernel
@@ -684,7 +702,8 @@ def lattice_contains(lattice: IntMatrix, vector) -> bool:
     _check_ints(vec, "vector entries")
     if len(vec) != lattice.cols:
         raise ValueError("vector length does not match lattice ambient rank")
-    return solve_integral(hermite_normal_form(lattice), vec) is not None
+    basis, _kernel = _hermite_rows(lattice.to_rows(), lattice.cols, echelon=True)
+    return solve_integral(IntMatrix._of_rows(basis, lattice.cols), vec) is not None
 
 
 def membership(t: RatVector, a: IntMatrix) -> bool:

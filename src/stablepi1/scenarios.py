@@ -62,7 +62,7 @@ BiTriPayload = namedtuple("BiTriPayload", "params")
 ReduciblePayload = namedtuple("ReduciblePayload", "endo_q endo_pi")
 # A bi-elliptic quotient verified through an explicit intermediate cover;
 # classes holds (name, IntMatrix of generator rows in scaled coordinates).
-CoverPayload = namedtuple("CoverPayload", "rank denominator group_gens group_order deck"
+CoverPayload = namedtuple("CoverPayload", "denominator group_gens group_order deck"
                           " deck_order cover_lattice classes crossing crossing_count nodes_downstairs")
 IsogenyPayload = namedtuple("IsogenyPayload", "matrix")
 ConstantPayload = namedtuple("ConstantPayload", ())
@@ -367,8 +367,12 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
         except KeyError as exc:
             raise ValidationError(f"{path}: reducible scenarios need endo_q and endo_pi") from exc
     if mode == "cover":
+        # torus.intersection_number counts nodes on rank 4 only, so no other
+        # rank can pass; refused here, before the group closure, whose cost
+        # grows as rank^4
+        if scalars.get("rank") != "4":
+            raise ValidationError(f"{path}: a cover section must declare rank 4: nodes are counted on rank-4 lattices only")
         try:
-            rank = _int_token(scalars["rank"])
             den = _int_token(scalars["denominator"])
             gens = []
             i = 1
@@ -393,7 +397,6 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
                 if name.startswith("class.")
             )
             return CoverPayload(
-                rank=rank,
                 denominator=den,
                 group_gens=tuple(gens),
                 group_order=_int_token(scalars["group_order"]),
@@ -521,7 +524,7 @@ def _run_cover(payload, checks):
     checks.append(f"curve translates cross in {count} points")
 
     basis = hermite_normal_form(payload.cover_lattice)
-    if basis.rows != payload.rank:
+    if basis.rows != 4:
         raise ValidationError("cover lattice must have full rank")
     all_rows = []
     class_lattices = []
@@ -544,7 +547,7 @@ def _run_cover(payload, checks):
         )
     checks.append(f"pulled-back double curve carries {nodes} nodes")
 
-    inv = cokernel_invariants(IntMatrix.from_rows(all_rows, cols=payload.rank), payload.rank)
+    inv = cokernel_invariants(IntMatrix.from_rows(all_rows, cols=4), 4)
     if not inv.is_trivial:
         raise ValidationError(f"contracted classes leave {inv} of the cover homology")
     checks.append("contracted curve classes generate the cover homology")

@@ -7,17 +7,23 @@ the same matrix, bit for bit, on every seeded input: the Smith-kernel
 corpus, planted dense, rank-deficient and sparse matrices up to 20 x 20,
 sparse ones up to 45 x 45, entries up to 10^6 in absolute value, and empty
 and all-zero shapes.
-``cokernel_invariants`` reads the Smith diagonal of the Hermite rows, with
-the unit pivots dropped first; it must match the diagonal the reference
-Smith kernel gives on the input itself, on lattices whose Hermite pivots
-are all 1, some 1 and none 1 among the rest.  Row permutations and
-unimodular row operations leave the lattice, and so its Hermite form,
-unchanged.
+``cokernel_invariants`` reads the Smith diagonal of the kernel's echelon
+basis, without the final reduction, with its unit pivots eliminated first
+by substitution; it must match the diagonal the reference Smith kernel
+gives on the input itself, on lattices whose Hermite pivots are all 1, some
+1 and none 1 among the rest, and the planted invariants of P*D*Q matrices
+up to 40 x 40 whose unit pivots sit between non-unit ones.
+``lattice_contains`` solves on the same echelon basis; it must agree with
+``solve_integral`` on the Hermite form, and with the planted lattice.  Row
+permutations and unimodular row operations leave the lattice, and so its
+Hermite form, unchanged.
 
 The kernel reduces on two schedules: the whole basis after every insertion
-when columns ride along, or the changed rows only and every row once at
-the end when none do.  H is unique, so the rider-free basis must equal the
-first ``width`` columns of the basis with the identity riding along.
+when columns ride along, or the changed rows only and, for the callers that
+read H, every row once at the end when none do.  H is unique, so the
+reduced rider-free basis must equal the first ``width`` columns of the
+basis with the identity riding along, and the echelon one must have H as
+its Hermite form.
 """
 
 import random
@@ -35,9 +41,15 @@ from stablepi1.intlin import (
     _hermite_with_identity,
     cokernel_invariants,
     hermite_normal_form,
+    lattice_contains,
     saturation,
+    solve_integral,
 )
 from test_snf_kernel import CORPUS, matmul, planted, random_rows, unimodular
+
+
+def pivots_of(h):
+    return [next(x for x in row if x) for row in h]
 
 
 def sparse(rng, r, c):
@@ -116,6 +128,59 @@ def hnf_corpus():
 HNF_CORPUS = hnf_corpus()
 
 
+def schedule_corpus():
+    """200 seeded matrices: tall, wide, rank-deficient and with zero rows."""
+    rng = random.Random(18)
+    cases = []
+    for _ in range(50):
+        c = rng.randint(1, 12)
+        cases.append(("tall", random_rows(rng, rng.randint(c + 1, 3 * c), c, -2, 2), c))
+    for _ in range(50):
+        r = rng.randint(1, 10)
+        c = rng.randint(r + 1, 2 * r + 4)
+        cases.append(("wide", random_rows(rng, r, c), c))
+    for _ in range(50):
+        r, c = rng.randint(2, 14), rng.randint(2, 14)
+        k = rng.randint(1, min(r, c) - 1)
+        rows = matmul(random_rows(rng, r, k, -5, 5), random_rows(rng, k, c, -5, 5))
+        cases.append(("rank-deficient", rows, c))
+    for _ in range(50):
+        r, c = rng.randint(1, 10), rng.randint(1, 10)
+        rows = random_rows(rng, r, c)
+        for _ in range(rng.randint(1, 3)):
+            rows.insert(rng.randint(0, len(rows)), [0] * c)
+        cases.append(("zero rows", rows, c))
+    return cases
+
+
+SCHEDULE_CORPUS = HNF_CORPUS + schedule_corpus()
+
+
+def pdq_corpus():
+    """50 seeded (diagonal, P*D*Q, Q) triples, 16 x 16 to 40 x 40.  Q is
+    unit upper triangular, so D*Q is echelon and the Hermite pivots are D's
+    nonzero entries: 8 or more entries in [2, 6] between unit ones, and in
+    every third matrix 1 to 4 zeros as well.  P mixes the rows unimodularly,
+    so the kernel's echelon basis keeps entries above the unit pivots."""
+    rng = random.Random(26)
+    cases = []
+    for k in range(50):
+        n = rng.randint(16, 40)
+        diag = [1] * n
+        for i in rng.sample(range(1, n - 1), rng.randint(8, n // 2)):
+            diag[i] = rng.choice((2, 3, 4, 5, 6))
+        if k % 3 == 2:
+            for i in rng.sample(range(n), rng.randint(1, 4)):
+                diag[i] = 0
+        q = [[0] * i + [1] + [rng.randint(-2, 2) for _ in range(i + 1, n)] for i in range(n)]
+        pd = [[x * d for x, d in zip(row, diag)] for row in unimodular(n, rng)]
+        cases.append((diag, matmul(pd, q), q))
+    return cases
+
+
+PDQ_CORPUS = pdq_corpus()
+
+
 def test_corpus_covers_every_shape():
     assert len(HNF_CORPUS) >= 440
     assert {label for label, _rows, _cols in HNF_CORPUS} >= {
@@ -132,12 +197,38 @@ def test_hermite_form_matches_reference(index):
     assert hermite_normal_form(a) == reference_hermite_normal_form(a), label
 
 
-@pytest.mark.parametrize("index", range(len(HNF_CORPUS)))
-def test_cokernel_matches_reference_smith_diagonal(index):
-    label, rows, cols = HNF_CORPUS[index]
+def reference_cokernel(rows, cols):
     m, _u, _v, _vinv, rank = reference_snf_core(rows)
-    want = AbelianInvariants(cols - rank, tuple(m[i][i] for i in range(rank) if m[i][i] > 1))
+    return AbelianInvariants(cols - rank, tuple(m[i][i] for i in range(rank) if m[i][i] > 1))
+
+
+@pytest.mark.parametrize("index", range(len(SCHEDULE_CORPUS)))
+def test_cokernel_matches_reference_smith_diagonal(index):
+    label, rows, cols = SCHEDULE_CORPUS[index]
+    want = reference_cokernel(rows, cols)
     assert cokernel_invariants(IntMatrix.from_rows(rows, cols=cols), cols) == want, label
+
+
+@pytest.mark.parametrize("index", range(len(PDQ_CORPUS)))
+def test_cokernel_of_planted_matrices_with_interleaved_unit_pivots(index):
+    diag, rows, _q = PDQ_CORPUS[index]
+    n = len(diag)
+    a = IntMatrix.from_rows(rows)
+    assert pivots_of(hermite_normal_form(a).to_rows()) == [d for d in diag if d]
+    # D is unsorted: the reference merges its entries into invariant factors
+    want = reference_cokernel([[d if i == j else 0 for j in range(n)] for i, d in enumerate(diag)], n)
+    assert cokernel_invariants(a, n) == want
+
+
+def test_deflation_substitutes_a_unit_row_into_the_kept_rows_above():
+    # x1 = -x2 and 2*x0 = -x1 = x2 with 2*x2 = 0: generated by x0, of order 4.
+    # Dropping the unit row and its column without substituting would leave
+    # [[2, 0], [0, 2]], which is Z/2 + Z/2.
+    rows = [[2, 1, 0], [0, 1, 1], [0, 0, 2]]
+    assert _hermite_rows([list(row) for row in rows], 3, echelon=True)[0] == rows
+    assert _deflate(rows) == [[2, -1], [0, 2]]
+    assert rows == [[2, 1, 0], [0, 1, 1], [0, 0, 2]]
+    assert cokernel_invariants(IntMatrix.from_rows(rows), 3) == AbelianInvariants(0, (4,))
 
 
 def test_row_operations_leave_the_hermite_form_unchanged():
@@ -150,10 +241,6 @@ def test_row_operations_leave_the_hermite_form_unchanged():
         rng.shuffle(moved)
         want = hermite_normal_form(IntMatrix.from_rows(rows, cols=cols))
         assert hermite_normal_form(IntMatrix.from_rows(moved, cols=cols)) == want, label
-
-
-def pivots_of(h):
-    return [next(x for x in row if x) for row in h]
 
 
 def test_pivot_cases_have_the_pivots_they_are_named_for():
@@ -194,41 +281,118 @@ def test_all_unit_pivots_never_reach_the_smith_kernel(monkeypatch):
         assert saturation(a) == h
 
 
-def schedule_corpus():
-    """200 seeded matrices: tall, wide, rank-deficient and with zero rows."""
-    rng = random.Random(18)
-    cases = []
-    for _ in range(50):
-        c = rng.randint(1, 12)
-        cases.append(("tall", random_rows(rng, rng.randint(c + 1, 3 * c), c, -2, 2), c))
-    for _ in range(50):
-        r = rng.randint(1, 10)
-        c = rng.randint(r + 1, 2 * r + 4)
-        cases.append(("wide", random_rows(rng, r, c), c))
-    for _ in range(50):
-        r, c = rng.randint(2, 14), rng.randint(2, 14)
-        k = rng.randint(1, min(r, c) - 1)
-        rows = matmul(random_rows(rng, r, k, -5, 5), random_rows(rng, k, c, -5, 5))
-        cases.append(("rank-deficient", rows, c))
-    for _ in range(50):
-        r, c = rng.randint(1, 10), rng.randint(1, 10)
-        rows = random_rows(rng, r, c)
-        for _ in range(rng.randint(1, 3)):
-            rows.insert(rng.randint(0, len(rows)), [0] * c)
-        cases.append(("zero rows", rows, c))
-    return cases
-
-
-SCHEDULE_CORPUS = HNF_CORPUS + schedule_corpus()
-
-
 @pytest.mark.parametrize("index", range(len(SCHEDULE_CORPUS)))
 def test_rider_free_basis_is_the_augmented_basis_cut_to_width(index):
     # no riders: changed rows reduced after each insertion, every row at the
     # end; the identity riding along: the whole basis after each insertion
     label, rows, cols = SCHEDULE_CORPUS[index]
     a = IntMatrix.from_rows(rows, cols=cols)
-    basis, kernel = _hermite_rows(a.to_rows(), cols)
+    basis, kernel = _hermite_rows(a.to_rows(), cols, echelon=False)
     with_identity, identity_kernel = _hermite_with_identity(a)
     assert basis == [row[:cols] for row in with_identity], label
     assert len(kernel) == len(identity_kernel) and not any(map(any, kernel)), label
+
+
+ECHELON_CORPUS = SCHEDULE_CORPUS + [("planted P*D*Q", rows, len(d)) for d, rows, _q in PDQ_CORPUS]
+
+
+def assert_echelon(rows):
+    """Nonzero rows, positive pivots in strictly increasing columns."""
+    last = -1
+    for row in rows:
+        p = next(j for j, x in enumerate(row) if x)
+        assert p > last and row[p] > 0
+        last = p
+
+
+@pytest.mark.parametrize("index", range(len(ECHELON_CORPUS)))
+def test_deflating_an_echelon_basis_gives_the_lattice_of_the_hermite_form(index):
+    # the kernel without its final reduction: an echelon basis of the same
+    # lattice.  Deflating it spans what deflating H spans, the vectors of L
+    # that vanish at the unit pivot columns, with those columns left out.
+    label, rows, cols = ECHELON_CORPUS[index]
+    echelon, kernel = _hermite_rows([list(row) for row in rows], cols, echelon=True)
+    h, h_kernel = _hermite_rows([list(row) for row in rows], cols)
+    assert_echelon(echelon)
+    assert len(kernel) == len(h_kernel), label
+    assert hermite_normal_form(IntMatrix.from_rows(echelon, cols=cols)).to_rows() == h, label
+    before = [list(row) for row in echelon]
+    m = _deflate(echelon)
+    assert echelon == before, label
+    assert_echelon(m)
+    assert pivots_of(m) == [d for d in pivots_of(h) if d != 1], label
+    assert m == [] or hermite_normal_form(IntMatrix.from_rows(m)).to_rows() == _deflate(h), label
+
+
+def substitutions(echelon):
+    """How many unit rows of an echelon basis are nonzero in the column of a
+    kept row above them: the substitutions ``_deflate`` makes."""
+    count = 0
+    kept = []
+    for row, d in zip(echelon, pivots_of(echelon)):
+        p = row.index(d)
+        if d != 1:
+            kept.append(row)
+        else:
+            count += sum(1 for k in kept if k[p])
+    return count
+
+
+def test_the_echelon_bases_need_the_substitution():
+    # without the final reduction, entries above unit pivots survive: on
+    # every planted matrix, and on the random corpora as well
+    fired = [
+        substitutions(_hermite_rows([list(row) for row in rows], cols, echelon=True)[0])
+        for _label, rows, cols in ECHELON_CORPUS
+    ]
+    assert all(fired[-len(PDQ_CORPUS) :])
+    assert sum(map(bool, fired[: -len(PDQ_CORPUS)])) >= 50
+
+
+def lattice_probes(rng, rows, cols):
+    """Integer combinations of ``rows`` (inside), and those plus a unit
+    vector (inside or not)."""
+    probes = []
+    for _ in range(2):
+        v = [0] * cols
+        for row in rows:
+            c = rng.randint(-2, 2)
+            v = [x + c * y for x, y in zip(v, row)]
+        probes.append(v)
+        w = list(v)
+        w[rng.randrange(cols)] += rng.choice((-1, 1))
+        probes.append(w)
+    return probes
+
+
+def test_lattice_contains_matches_the_solve_on_the_hermite_form():
+    rng = random.Random(2026)
+    answers = set()
+    for label, rows, cols in SCHEDULE_CORPUS:
+        if not cols:
+            continue
+        a = IntMatrix.from_rows(rows, cols=cols)
+        h = hermite_normal_form(a)
+        for v in lattice_probes(rng, rows, cols):
+            want = solve_integral(h, v) is not None
+            assert lattice_contains(a, v) == want, label
+            answers.add(want)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("index", range(len(PDQ_CORPUS)))
+def test_lattice_contains_on_planted_vectors(index):
+    # the lattice is {z*Q : z_i in d_i*Z}; a row of Q at an entry d_i != 1
+    # lies outside it, and stays outside when a lattice vector is added
+    diag, rows, q = PDQ_CORPUS[index]
+    n = len(diag)
+    a = IntMatrix.from_rows(rows)
+    h = hermite_normal_form(a)
+    rng = random.Random(index)
+    for _ in range(4):
+        z = [d * rng.randint(-3, 3) for d in diag]
+        inside = [sum(zi * qi[j] for zi, qi in zip(z, q)) for j in range(n)]
+        assert lattice_contains(a, inside) and solve_integral(h, inside) is not None
+        i = rng.choice([i for i, d in enumerate(diag) if d != 1])
+        outside = [x + y for x, y in zip(inside, q[i])]
+        assert not lattice_contains(a, outside) and solve_integral(h, outside) is None

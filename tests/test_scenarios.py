@@ -61,6 +61,29 @@ def run_b1_variant(tmp_path, *replacements):
     return run_scenario(load_scenario(path))
 
 
+def cover_of_rank(n):
+    """A cover scenario of rank n, consistent in every shape: a cyclic
+    shift of the coordinates as group generator and deck transformation,
+    2*I as the cover lattice, and two classes."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    shift = eye[1:] + eye[:1]
+    unit = " ".join(["1"] + ["0"] * (n - 1))
+
+    def matrix(name, rows):
+        return [f"matrix {name} {len(rows)} {n}"] + [" ".join(map(str, row)) for row in rows]
+
+    lines = ["meta", "id C", "kind torus-lattice", "expected", "order 4", "cyclic yes", "torus",
+             "mode cover", f"rank {n}", "denominator 2", "group_order 4", "deck_order 4",
+             "nodes_downstairs 1", "crossing_count 4"]
+    lines += matrix("gen1.linear", shift) + [f"vector gen1.translation {unit}"]
+    lines += matrix("cover_lattice", [[2 * x for x in row] for row in eye])
+    lines += matrix("deck.linear", shift) + [f"vector deck.translation {unit}"]
+    lines += matrix("crossing", eye)
+    lines += matrix("class.h1", [[2 * x for x in row] for row in eye[:2]])
+    lines += matrix("class.v1", [[2 * x for x in row] for row in eye[2:4]])
+    return "\n".join(lines) + "\n"
+
+
 class TestLoad:
     def test_bundled_p1(self):
         s = load_scenario(bundled_catalogue_dir() / "P1.scn")
@@ -240,6 +263,25 @@ class TestRun:
         )
         assert not r.passed
         assert r.error == "ValidationError: deck transformation is not free"
+
+    @pytest.mark.parametrize("rank", [8, 80])
+    def test_a_cover_of_rank_other_than_4_is_refused_at_load(self, tmp_path, monkeypatch, rank):
+        # a cyclic shift of the coordinates generates the group; the closure
+        # of rank-n maps costs n^4, so nothing of the torus may run first
+        def refuse(*args, **kwargs):
+            raise AssertionError("the cover reached the torus layer")
+
+        monkeypatch.setattr(torus, "generated_group", refuse)
+        monkeypatch.setattr(torus, "conjugate_into_lattice", refuse)
+        path = tmp_path / "C.scn"
+        path.write_text(cover_of_rank(rank))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: a cover section must declare rank 4")):
+            load_scenario(path)
+
+    def test_the_rank_4_cover_template_loads(self, tmp_path):
+        path = tmp_path / "C.scn"
+        path.write_text(cover_of_rank(4))
+        assert load_scenario(path).payload.deck_order == 4
 
     def test_infinite_group_is_refused_without_enumeration(self, tmp_path):
         # pi_1(D) is free on the loop A and the normalisation is a point,

@@ -1,8 +1,11 @@
 """Spanning-tree fundamental groups and induced maps of glued skeletons."""
 
+import random
+
 import pytest
 
 from stablepi1 import fpgroup
+from stablepi1.scenarios import load_catalogue, run_scenario
 from stablepi1.vankampen import (
     DisconnectedComplex,
     GluingComplex,
@@ -259,3 +262,69 @@ def test_invariants_stable_under_edge_permutation():
         return fpgroup.todd_coxeter_order(glued), fpgroup.abelianization(glued)
 
     assert invariants(base) == invariants(permuted)
+
+
+# Reversing an edge keeps the space: swap its ends and negate its sign in
+# every 2-cell and wherever a gluing map names it.  Every bundled map sends
+# each edge to an edge with sign +1, so only reversed copies reach the
+# orientation signs in induced_hom.
+VANKAMPEN = {s.id: s for s in load_catalogue() if s.kind == "vankampen"}
+
+
+def reversed_complex(c, labels):
+    edges = tuple((l, t, s) if l in labels else (l, s, t) for (l, s, t) in c.edges)
+    cells = tuple(tuple((l, -sg if l in labels else sg) for (l, sg) in cell) for cell in c.two_cells)
+    return GluingComplex(c.vertices, edges, cells, c.basepoint)
+
+
+def with_reversed_edges(scenario, d_labels=(), dbar_labels=()):
+    """The scenario with the D-edges ``d_labels`` and the D-bar-edges
+    ``dbar_labels`` reversed, its map's images and signs following."""
+    dbar, d, m = scenario.payload
+    edge_map = {}
+    for label, (image, sign) in m.edge_map.items():
+        flip = (image in d_labels) != (label in dbar_labels)
+        edge_map[label] = (image, -sign if flip else sign)
+    gluing = GluingMap(m.vertex_map, edge_map)
+    dbar, d = reversed_complex(dbar, dbar_labels), reversed_complex(d, d_labels)
+    check_map(gluing, dbar, d)
+    return scenario._replace(payload=scenario.payload._replace(dbar=dbar, d=d, gluing=gluing))
+
+
+def verdict(scenario):
+    r = run_scenario(scenario)
+    return r.verdict, r.error, r.order, r.cyclic, r.abelianization
+
+
+def test_the_catalogue_has_eight_van_kampen_scenarios():
+    assert sorted(VANKAMPEN) == ["P1", "P2", "P3", "X1.1", "X1.2", "X1.3", "X1.4", "X1.5"]
+
+
+@pytest.mark.parametrize("sid", sorted(VANKAMPEN))
+def test_reversing_one_d_edge_keeps_the_verdict(sid):
+    s = VANKAMPEN[sid]
+    want = verdict(s)
+    assert want[0] == "pass"
+    for label, _s, _t in s.payload.d.edges:
+        assert verdict(with_reversed_edges(s, d_labels={label})) == want, label
+
+
+@pytest.mark.parametrize("sid", sorted(VANKAMPEN))
+def test_reversing_one_dbar_edge_keeps_the_verdict(sid):
+    s = VANKAMPEN[sid]
+    want = verdict(s)
+    for label, _s, _t in s.payload.dbar.edges:
+        assert verdict(with_reversed_edges(s, dbar_labels={label})) == want, label
+
+
+@pytest.mark.parametrize("sid", sorted(VANKAMPEN))
+def test_reversing_several_edges_at_once_keeps_the_verdict(sid):
+    s = VANKAMPEN[sid]
+    want = verdict(s)
+    rng = random.Random(sid)
+    d_labels = [l for l, _s, _t in s.payload.d.edges]
+    dbar_labels = [l for l, _s, _t in s.payload.dbar.edges]
+    for _ in range(6):
+        d_some = set(rng.sample(d_labels, rng.randint(1, len(d_labels))))
+        dbar_some = set(rng.sample(dbar_labels, rng.randint(1, len(dbar_labels))))
+        assert verdict(with_reversed_edges(s, d_some, dbar_some)) == want, (d_some, dbar_some)
