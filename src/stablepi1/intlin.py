@@ -59,8 +59,9 @@ stay near the size of H's entries:
 - ``saturation``: U started from the rows of H, so U*H comes back; when
   every pivot of H is 1, Z^n / L is free and H is returned as it is.
 
-``membership`` needs no Smith form: the augmented Hermite step hands back a
-basis of the left kernel of A, and that is all it reads.
+``left_kernel`` needs no Smith form: the rows of A that the augmented
+Hermite step reduces to zero carry a basis of {k : k*A = 0} in their
+identity columns, and ``membership`` reads that basis and nothing else.
 
 The value types are plain ``__slots__`` classes, treated as immutable.  Their
 public constructors raise ``ValueError`` on anything but plain ints (a bool,
@@ -706,22 +707,30 @@ def lattice_contains(lattice: IntMatrix, vector) -> bool:
     return solve_integral(IntMatrix._of_rows(basis, lattice.cols), vec) is not None
 
 
+def left_kernel(a: IntMatrix) -> IntMatrix:
+    """A basis K, one vector per row, of the integer k with k*A = 0: the
+    identity parts of the rows that the augmented Hermite step of
+    ``smith_normal_form`` reduces to zero.  [U1; K] is unimodular, so K
+    spans the whole kernel lattice.  K is not unique; its Hermite form is.
+    """
+    r, c = a.rows, a.cols
+    _basis, kernel = _hermite_with_identity(a)
+    return IntMatrix._of_rows([row[c:] + [0] * (c + r - len(row)) for row in kernel], r)
+
+
 def membership(t: RatVector, a: IntMatrix) -> bool:
     """Decide t in (rational column span of a) + Z^n, for a with n rows.
 
-    Each row of A, followed by its row of the identity, is inserted into a
-    Hermite basis as in ``smith_normal_form``; the rows that reduce to zero
-    in A's columns carry, in the identity's, a basis K of the integer
-    vectors k with k*A = 0.  [U1; K] is unimodular with U1*A of full row
-    rank, so t is a member iff k*t is an integer for every row k of K.
+    With K the ``left_kernel`` of A, [U1; K] is unimodular with U1*A of
+    full row rank, so t is a member iff k*t is an integer for every row k
+    of K.
     """
     n = len(t)
     if a.rows != n:
         raise ValueError("a must have one row per coordinate of t")
-    c = a.cols
-    _basis, kernel = _hermite_with_identity(a)
+    k = left_kernel(a)
     nums = t.numerators
-    return all(sum(map(mul, row[c:], nums)) % t.denominator == 0 for row in kernel)
+    return all(sum(map(mul, k.row(i), nums)) % t.denominator == 0 for i in range(k.rows))
 
 
 def saturation(a: IntMatrix) -> IntMatrix:

@@ -408,6 +408,8 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
                 crossing_count=_int_token(scalars["crossing_count"]),
                 nodes_downstairs=_int_token(scalars["nodes_downstairs"]),
             )
+        except ValidationError:
+            raise
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"{path}: incomplete cover data: {exc}") from exc
     raise ValidationError(f"{path}: torus section needs a valid mode")

@@ -28,9 +28,9 @@ from .intlin import (
     SingularMatrix,
     cokernel_invariants,
     hermite_normal_form,
+    left_kernel,
     membership,
     saturation,
-    smith_normal_form,
     solve_integral,
 )
 
@@ -99,8 +99,6 @@ def compose(f: AffineTorusMap, g: AffineTorusMap) -> AffineTorusMap:
 def generated_group(gens, cap=DEFAULT_GROUP_CAP):
     """Breadth-first closure of the generated group; deterministic order."""
     gens = list(gens)
-    if not gens:
-        return (affine_identity(2),)
     rank = gens[0].rank
     ident = affine_identity(rank)
     seen = {ident}
@@ -325,7 +323,11 @@ def eplus_presentation(p: BiTriEllipticParams) -> fpgroup.Presentation:
     Built as the amalgam of the two rank-2 targets over the curve homology:
     generators a, b (bi-elliptic target) and alpha, beta (tri-elliptic
     target), two commutator relators, and one relator per generator of the
-    glued-torus homology identifying its two projections.
+    glued-torus homology identifying its two projections.  The projection
+    to alpha, beta is K*coords, with K the integer annihilator of the curve
+    lattice in the coordinates of the glued-torus basis, in Hermite form:
+    the group depends on K's lattice only, and its Hermite form is unique,
+    so the relators do not depend on how a kernel basis is found.
     """
     if p.case == "odd":
         h1a, fbar, pi_star = _odd_lattice_data(p)
@@ -342,22 +344,15 @@ def eplus_presentation(p: BiTriEllipticParams) -> fpgroup.Presentation:
             raise InvalidParams("vector outside the glued-torus lattice")
         return coords
 
-    fbar_coords = IntMatrix._of_rows([in_basis(v) for v in fbar], 4)
-    fbar_sat = saturation(fbar_coords)
-    snf = smith_normal_form(fbar_sat)
-    if snf.diagonal() != (1, 1):
-        raise InvalidParams("curve sublattice failed to saturate")
-    v = snf.v.to_rows()
-
-    def q_star(coords):
-        return [sum(c * row[j] for c, row in zip(coords, v)) for j in (2, 3)]
+    transpose = IntMatrix._of_rows(list(zip(*(in_basis(v) for v in fbar))), 2)
+    annihilator = hermite_normal_form(left_kernel(transpose))
 
     def word(x, y):
         return fpgroup.power_word(1, x) + fpgroup.power_word(2, y)
 
     pa = fpgroup.Presentation(("a", "b"), ((1, 2, -1, -2),))
     pb = fpgroup.Presentation(("alpha", "beta"), ((1, 2, -1, -2),))
-    pairs = [(word(*pi_star(vec)), word(*q_star(in_basis(vec)))) for vec in h1a]
+    pairs = [(word(*pi_star(vec)), word(*annihilator.mul_vector(in_basis(vec)))) for vec in h1a]
     return fpgroup.amalgamated_product(pa, pb, pairs)
 
 

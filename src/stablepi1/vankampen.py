@@ -85,11 +85,17 @@ class GluingComplex:
         self.edge_generator = {l: i for i, l in enumerate(self.generators)}
 
     def _spanning_tree(self):
-        """BFS from the basepoint, edges scanned in declared order."""
+        """BFS from the basepoint, each vertex's edges taken in declared
+        order from its incidence list, so the tree costs O(V + E)."""
+        incident = {v: [] for v in self.vertices}
+        for label, s, t in self.edges:
+            incident[s].append((label, s, t))
+            if t != s:
+                incident[t].append((label, s, t))
         parent = {self.basepoint: None}
         order = [self.basepoint]
         for u in order:  # grows while it is walked
-            for label, s, t in self.edges:
+            for label, s, t in incident[u]:
                 if s == u and t not in parent:
                     parent[t] = (label, 1, s)
                     order.append(t)

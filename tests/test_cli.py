@@ -396,6 +396,20 @@ def test_even_bitri_file_without_glue_is_refused_at_load(capsys, tmp_path):
     assert reports["E2"]["error"] == f"ValidationError: {message}"
 
 
+def test_a_cover_without_generators_names_its_file_once(capsys, tmp_path):
+    # the refusal was raised inside the cover branch's own try, whose
+    # except wrapped it again as incomplete cover data
+    _catalogue_with(tmp_path, "B1")
+    b1 = tmp_path / "B1.scn"
+    text = b1.read_text()
+    start, end = text.index("matrix gen1.linear"), text.index("matrix cover_lattice")
+    assert "gen1" not in text[:start] + text[end:] and "gen2" in text[start:end]
+    b1.write_text(text[:start] + text[end:])
+    code, out, err = run_cli(capsys, ["run", "B1", "--catalogue-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert err == f"error: {b1}: cover scenarios need group generators\n"
+
+
 @pytest.mark.parametrize("sid", ["sub/R3", "../catalogue/R3", "R3/", ""])
 def test_run_id_must_be_a_plain_file_name(capsys, tmp_path, sid):
     _catalogue_with(tmp_path, "R3")

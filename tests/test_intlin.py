@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_snf import reference_snf_core
 from stablepi1.intlin import (
     AbelianInvariants,
     IntMatrix,
@@ -13,6 +14,7 @@ from stablepi1.intlin import (
     cokernel_invariants,
     hermite_normal_form,
     lattice_contains,
+    left_kernel,
     membership,
     saturation,
     smith_normal_form,
@@ -197,6 +199,60 @@ class TestMembership:
             # u maps Z^n onto itself, so it moves the question, not the answer
             t2 = RatVector(tuple(u.mul_vector(list(t.numerators))), t.denominator)
             assert membership(t2, u.mul(a)) == before
+
+
+def left_kernel_cases():
+    """(kind, rows, cols, row lists) of seeded matrices: full rank, wide and
+    tall; rank-deficient, as products through a narrower middle; with zero
+    rows put in; with one column; and without rows or columns."""
+    rng = random.Random(27)
+
+    def dense(r, c):
+        return [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+
+    cases = []
+    for _ in range(12):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append(("full rank", r, c, dense(r, c)))
+        r, c = rng.randint(2, 8), rng.randint(2, 8)
+        left, right = dense(r, min(r, c) - 1), dense(min(r, c) - 1, c)
+        product = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+        cases.append(("rank-deficient", r, c, product))
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        rows = dense(r, c)
+        for _ in range(rng.randint(1, 3)):
+            rows.insert(rng.randint(0, len(rows)), [0] * c)
+        cases.append(("zero rows", len(rows), c, rows))
+        r = rng.randint(1, 7)
+        cases.append(("one column", r, 1, dense(r, 1)))
+    cases += [("no rows", 0, 3, []), ("no columns", 3, 0, [[], [], []])]
+    return cases
+
+
+class TestLeftKernel:
+    def test_the_cases_cover_every_kind(self):
+        cases = left_kernel_cases()
+        kinds = {kind for kind, *_ in cases}
+        assert kinds == {"full rank", "rank-deficient", "zero rows", "one column", "no rows", "no columns"}
+        for kind, r, c, rows in cases:
+            rank = reference_snf_core(rows)[4]
+            if kind == "rank-deficient":
+                assert rank < min(r, c)
+            if kind == "full rank":
+                assert rank == min(r, c)
+
+    @pytest.mark.parametrize("case", left_kernel_cases(), ids=lambda case: case[0])
+    def test_kernel_rows_annihilate_a_and_span_the_reference_kernel(self, case):
+        """k*A = 0 for every row k; there are rows(A) - rank of them, and
+        they span the lattice of the rows of the reference Smith U past the
+        rank, which is the whole left kernel as U is unimodular."""
+        _kind, r, c, rows = case
+        a = mat(rows, cols=c)
+        k = left_kernel(a)
+        _m, u, _v, _vinv, rank = reference_snf_core(rows)
+        assert (k.rows, k.cols) == (r - rank, r)
+        assert k.mul(a) == IntMatrix.zeros(r - rank, c)
+        assert hermite_normal_form(k) == hermite_normal_form(mat(u[rank:], cols=r))
 
 
 class TestSaturation:

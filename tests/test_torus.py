@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from reference_torus import from_fractions
-from stablepi1 import fpgroup
+from stablepi1 import fpgroup, intlin, torus
 from stablepi1.intlin import IntMatrix, RatVector, SingularMatrix
 from stablepi1.torus import (
     AffineTorusMap,
@@ -315,8 +315,32 @@ class TestGlueSubgroups:
 
 
 # Pinned presentation strings, one per admissible parameter set; the two G2
-# cases are in no catalogue file, so no golden report pins them.
+# cases are in no catalogue file, so no golden report pins them.  The glue
+# reads the curve's annihilator in Hermite form, which is unique.
 EPLUS_PRESENTATIONS = {
+    (1, 5, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a beta, b b alpha^-1 alpha^-1 alpha^-1 alpha^-1 alpha^-1, beta^-1, alpha, a, b >",
+    (3, 3, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha, b b beta^-1 beta^-1 beta^-1, alpha^-1 alpha^-1 alpha^-1, beta, a a a, b >",
+    (5, 1, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha, b b beta, alpha^-1 alpha^-1 alpha^-1 alpha^-1 alpha^-1, beta^-1, a a a a a, b >",
+    (2, 1, "even", 0): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha alpha, b b beta, alpha^-1 alpha^-1 alpha^-1 alpha^-1, beta^-1, b, a alpha^-1 >",
+    (2, 1, "even", 1): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a beta, b b beta^-1 alpha alpha, beta^-1 beta^-1, beta alpha^-1 alpha^-1,"
+    " b, a b beta^-1 alpha >",
+    (1, 2, "even", 0): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a alpha^-1 alpha^-1 alpha^-1 alpha^-1, b b beta, alpha alpha, beta^-1, b, a alpha^-1 >",
+    (1, 2, "even", 1): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
+    " a a beta beta, b b beta alpha alpha, beta^-1, beta^-1 alpha^-1 alpha^-1,"
+    " b, a b beta alpha >",
+}
+
+# The same seven presentations as built from columns 2-3 of the Smith V of
+# the saturated curve lattice, before the glue read the Hermite form of its
+# annihilator.  V is not unique, so these are one basis of the annihilator
+# among many; each group is the same.
+SMITH_V_PRESENTATIONS = {
     (1, 5, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
     " a a alpha, b b beta beta beta beta beta, alpha^-1, beta^-1, a, b >",
     (3, 3, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
@@ -335,20 +359,38 @@ EPLUS_PRESENTATIONS = {
     " beta^-1, b, a b beta alpha >",
 }
 
-# The same three presentations as built from the V of the pivot-search Smith
-# kernel (tests/reference_snf.py) that intlin used before the alternating
-# Hermite kernel.  The quotient map of eplus_presentation reads columns 2-3
-# of the Smith V, which is not unique; the two kernels' choices differ by
-# alpha -> alpha^-1, an automorphism of <alpha, beta> = Z^2.
-PIVOT_KERNEL_PRESENTATIONS = {
-    (5, 1, "odd", None): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
-    " a a alpha^-1, b b beta, alpha alpha alpha alpha alpha, beta^-1, a a a a a, b >",
-    (1, 2, "even", 0): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
-    " a a alpha^-1 alpha^-1 alpha^-1 alpha^-1, b b beta, alpha alpha, beta^-1, b, a alpha^-1 >",
-    (1, 2, "even", 1): "< a, b, alpha, beta | a b a^-1 b^-1, alpha beta alpha^-1 beta^-1,"
-    " a a beta beta alpha^-1 alpha^-1 alpha^-1 alpha^-1, b b beta, beta^-1 alpha alpha,"
-    " beta^-1, b, a b beta alpha^-1 >",
-}
+
+def glue_parts(text):
+    """The glue relators of an eplus presentation string, each split into
+    its a/b letters and the exponent sums of alpha and beta."""
+    head, relators = text[:-2].split(" | ")
+    assert head == "< a, b, alpha, beta"
+    relators = relators.split(", ")
+    assert relators[:2] == ["a b a^-1 b^-1", "alpha beta alpha^-1 beta^-1"]
+    parts = []
+    for relator in relators[2:]:
+        letters = relator.split()
+        ab = [x for x in letters if x.removesuffix("^-1") in ("a", "b")]
+        exps = [
+            sum(-1 if x.endswith("^-1") else 1 for x in letters if x.removesuffix("^-1") == g)
+            for g in ("alpha", "beta")
+        ]
+        parts.append((ab, exps))
+    return parts
+
+
+def unimodular_2x2(rng):
+    """A seeded matrix of GL_2(Z): elementary operations, a swap and signs."""
+    u = [[1, 0], [0, 1]]
+    for _ in range(rng.randint(1, 6)):
+        i = rng.randrange(2)
+        q = rng.choice([-3, -2, -1, 1, 2, 3])
+        u[i] = [x + q * y for x, y in zip(u[i], u[1 - i])]
+    if rng.random() < 0.5:
+        u.reverse()
+    if rng.random() < 0.5:
+        u[0] = [-x for x in u[0]]
+    return IntMatrix.from_rows(u)
 
 
 class TestEplusPresentation:
@@ -373,17 +415,52 @@ class TestEplusPresentation:
         assert fpgroup.todd_coxeter_order(pres) == order
         assert fpgroup.cyclic_given_order(order, inv)
 
-    @pytest.mark.parametrize("key", sorted(PIVOT_KERNEL_PRESENTATIONS, key=str))
-    def test_glue_is_the_pivot_kernel_glue_with_alpha_inverted(self, key):
-        """Every other parameter set is built as before, and these three
-        are the old presentations with alpha -> alpha^-1 in every glue
-        relator, so each group is the same."""
-        head, relators = PIVOT_KERNEL_PRESENTATIONS[key][:-2].split(" | ")
-        relators = relators.split(", ")
-        flip = {"alpha": "alpha^-1", "alpha^-1": "alpha"}
-        glue = [" ".join(flip.get(x, x) for x in r.split()) for r in relators[2:]]
-        assert EPLUS_PRESENTATIONS[key] == f"{head} | {', '.join(relators[:2] + glue)} >"
-        assert glue != relators[2:]
+    @pytest.mark.parametrize("key", sorted(SMITH_V_PRESENTATIONS, key=str))
+    def test_glue_is_the_smith_v_glue_up_to_a_basis_change_of_alpha_beta(self, key):
+        """Each presentation is the one built from the Smith V, with the
+        same a/b parts and the (alpha, beta) exponent vectors of all glue
+        relators moved by one matrix M of GL_2(Z): the same group."""
+        new = glue_parts(EPLUS_PRESENTATIONS[key])
+        old = glue_parts(SMITH_V_PRESENTATIONS[key])
+        assert [ab for ab, _e in new] == [ab for ab, _e in old]
+        olds = [e for _ab, e in old]
+        news = [e for _ab, e in new]
+        # M = [n_i n_j] adj([o_i o_j]) / det for two independent old vectors
+        i, j, det = next(
+            (i, j, olds[i][0] * olds[j][1] - olds[i][1] * olds[j][0])
+            for i, j in combinations(range(len(olds)), 2)
+            if olds[i][0] * olds[j][1] != olds[i][1] * olds[j][0]
+        )
+        adj = [[olds[j][1], -olds[j][0]], [-olds[i][1], olds[i][0]]]
+        m = [[news[i][r] * adj[0][c] + news[j][r] * adj[1][c] for c in range(2)] for r in range(2)]
+        assert all(x % det == 0 for row in m for x in row)
+        m = [[x // det for x in row] for row in m]
+        assert abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) == 1
+        for o, n in zip(olds, news):
+            assert [m[r][0] * o[0] + m[r][1] * o[1] for r in range(2)] == n
+
+    def test_the_glue_needs_neither_a_smith_form_nor_a_saturation(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("eplus_presentation reached a Smith form")
+
+        monkeypatch.setattr(intlin, "smith_normal_form", refused)
+        monkeypatch.setattr(intlin, "saturation", refused)
+        monkeypatch.setattr(torus, "saturation", refused)
+        assert not hasattr(torus, "smith_normal_form")
+        for key, text in EPLUS_PRESENTATIONS.items():
+            assert eplus_presentation(BiTriEllipticParams(*key)).describe() == text
+
+    def test_the_glue_does_not_depend_on_the_kernel_basis(self, monkeypatch):
+        """U*K spans the lattice K spans, for U in GL_2(Z), and its Hermite
+        form is the same, so no string moves."""
+        rng = random.Random(27)
+        real = torus.left_kernel
+        for _ in range(20):
+            u = unimodular_2x2(rng)
+            assert u != IntMatrix.identity(2)
+            monkeypatch.setattr(torus, "left_kernel", lambda a, u=u: u.mul(real(a)))
+            for key, text in EPLUS_PRESENTATIONS.items():
+                assert eplus_presentation(BiTriEllipticParams(*key)).describe() == text
 
     def test_even_needs_glue_choice(self):
         with pytest.raises(InvalidParams):

@@ -328,3 +328,69 @@ def test_reversing_several_edges_at_once_keeps_the_verdict(sid):
         d_some = set(rng.sample(d_labels, rng.randint(1, len(d_labels))))
         dbar_some = set(rng.sample(dbar_labels, rng.randint(1, len(dbar_labels))))
         assert verdict(with_reversed_edges(s, d_some, dbar_some)) == want, (d_some, dbar_some)
+
+
+def scan_spanning_tree(c):
+    """The spanning tree by the first rule: BFS from the basepoint, every
+    edge scanned in declared order for every vertex; O(V*E), the reference
+    for the incidence-list BFS."""
+    parent = {c.basepoint: None}
+    order = [c.basepoint]
+    for u in order:
+        for label, s, t in c.edges:
+            if s == u and t not in parent:
+                parent[t] = (label, 1, s)
+                order.append(t)
+            elif t == u and s not in parent:
+                parent[s] = (label, -1, t)
+                order.append(s)
+    return parent
+
+
+def random_connected_complex(rng):
+    """A seeded connected complex: a random tree, then extra edges that
+    include loops and parallel edges, all in shuffled order with random
+    orientations, and a random basepoint."""
+    n = rng.randint(1, 12)
+    vertices = [f"v{i}" for i in range(n)]
+    ends = [(vertices[i], rng.choice(vertices[:i])) for i in range(1, n)]
+    for _ in range(rng.randint(0, 15)):
+        u = rng.choice(vertices)
+        ends.append((u, u) if rng.random() < 0.2 else (u, rng.choice(vertices)))
+    ends += rng.sample(ends, min(len(ends), rng.randint(0, 3)))  # parallel edges
+    rng.shuffle(ends)
+    edges = [(f"e{i}", s, t) if rng.random() < 0.5 else (f"e{i}", t, s) for i, (s, t) in enumerate(ends)]
+    return GluingComplex(vertices, edges, (), rng.choice(vertices))
+
+
+def test_the_spanning_tree_is_the_scanned_tree_on_the_catalogue():
+    complexes = [c for s in VANKAMPEN.values() for c in (s.payload.dbar, s.payload.d)]
+    assert len(complexes) == 16
+    for c in complexes:
+        assert list(c.tree.items()) == list(scan_spanning_tree(c).items())
+
+
+def test_the_spanning_tree_is_the_scanned_tree_on_seeded_complexes():
+    rng = random.Random(18)
+    loops = parallel = 0
+    for _ in range(1200):
+        c = random_connected_complex(rng)
+        assert list(c.tree.items()) == list(scan_spanning_tree(c).items()), c.edges
+        loops += any(s == t for _l, s, t in c.edges)
+        parallel += len({frozenset((s, t)) for _l, s, t in c.edges}) < len(c.edges)
+    assert loops > 100 and parallel > 100
+
+
+def test_a_path_of_50000_vertices_loads():
+    # the edge scan visited every edge for every vertex, 2.5e9 steps here
+    n = 50000
+    vertices = [f"v{i}" for i in range(n)]
+    # edge ei joins vi and vi+1, pointing up for odd i and down for even i
+    edges = []
+    for i in range(n - 1):
+        low, high = vertices[i], vertices[i + 1]
+        edges.append((f"e{i}", low, high) if i % 2 else (f"e{i}", high, low))
+    c = GluingComplex(vertices, edges, (), vertices[n // 2])
+    assert len(c.tree) == n and c.generators == ()
+    assert c.tree["v0"] == ("e0", 1, "v1")
+    assert c.tree["v49999"] == ("e49998", -1, "v49998")
