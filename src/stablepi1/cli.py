@@ -74,18 +74,18 @@ def _table_md(reports):
     rule = "|---|---|---|---|---|---|---|---|"
     rows = [header, rule]
     for r in reports:
-        rows.append(
-            "| {} | {} | {} | {} | {} | {} | {} | {} |".format(
-                r.scenario,
-                r.order if r.order is not None else "-",
-                r.expected_order if r.expected_order is not None else "-",
-                {True: "yes", False: "no", None: "-"}[r.cyclic],
-                r.meta.get("normal", "-"),
-                r.meta.get("smoothable", "-"),
-                r.meta.get("construction", "-"),
-                r.verdict,
-            )
+        cells = (
+            r.scenario,
+            r.order if r.order is not None else "-",
+            r.expected_order if r.expected_order is not None else "-",
+            {True: "yes", False: "no", None: "-"}[r.cyclic],
+            r.meta.get("normal", "-"),
+            r.meta.get("smoothable", "-"),
+            r.meta.get("construction", "-"),
+            r.verdict,
         )
+        # a '|' in an id or a meta value would otherwise end its cell early
+        rows.append("| " + " | ".join(str(c).replace("|", "\\|") for c in cells) + " |")
     return "\n".join(rows)
 
 

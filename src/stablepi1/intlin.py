@@ -162,12 +162,6 @@ class IntMatrix:
             m = cls._identities[n] = cls._trusted(n, n, entries)
         return m
 
-    @classmethod
-    def zeros(cls, rows, cols):
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        return cls._trusted(rows, cols, (0,) * (rows * cols))
-
     def at(self, i, j):
         return self.entries[i * self.cols + j]
 

@@ -1,6 +1,6 @@
 """The bundled catalogue: machine-readable scenario files and their runner.
 
-Scenario files are line-oriented UTF-8 with ``#`` comments and four kinds of
+Scenario files are line-oriented UTF-8 with ``#`` comments and five kinds of
 section:
 
     meta                         key/value pairs (id, kind, flags, counts)
@@ -8,8 +8,12 @@ section:
     complex <name>               basepoint / vertex / edge / cell lines
     map                          vertex a b / edge lab [-]lab lines
     torus                        mode plus scalars, ``matrix NAME R C`` blocks
-                                 (R following lines of C integers each) and
+                                 (the next R token lines, whatever they start
+                                 with, each of C integers) and
                                  ``vector NAME ints...`` lines
+
+A token line has a word before any ``#``; blank and comment lines may stand
+anywhere, between matrix rows too.  The file is read in one pass.
 
 Integers are ASCII digits, after a '-' where a negative value is allowed.
 Every name is defined once: a second meta or expected key, complex, basepoint,
@@ -121,22 +125,6 @@ class Report:
 # -- parsing -------------------------------------------------------------
 
 
-def _parse_lines(path):
-    out = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw = f.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc}") from exc
-    for lineno, line in enumerate(raw, start=1):
-        line = line.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line.split()))
-    return out
-
-
 class _ComplexBuilder:
     def __init__(self):
         self.vertices = []
@@ -162,17 +150,20 @@ def _signed_token(tok):
 
 def load_scenario(path) -> Scenario:
     """Parse and fully validate one scenario file."""
-    lines = _parse_lines(path)
-    meta = {}
-    expected = {}
-    complexes = {}
-    vmap = {}
-    emap = {}
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
+    # (line number, tokens) of each token line; a matrix header reads its rows from it
+    numbered = enumerate((line.partition("#")[0].split() for line in text.splitlines()), start=1)
+    lines = ((lineno, toks) for lineno, toks in numbered if toks)
+    meta, expected, complexes, vmap, emap = {}, {}, {}, {}, {}
+    matrices, vectors, scalars = {}, {}, {}
     have_map = False
-    tdata = {"matrices": {}, "vectors": {}, "scalars": {}}
-    section = None
-    current_complex = None
-    pending = None  # (name, cols, rows_left, rows)
+    section = current_complex = None
 
     def fail(lineno, msg):
         raise ParseError(f"{path}:{lineno}: {msg}")
@@ -189,23 +180,10 @@ def load_scenario(path) -> Scenario:
             fail(lineno, msg)
 
     for lineno, toks in lines:
-        if pending is not None:
-            name, cols, left, rows = pending
-            row = integers(lineno, toks, f"expected an integer row of matrix {name}")
-            if len(row) != cols:
-                fail(lineno, f"matrix {name} row needs {cols} entries")
-            rows.append(row)
-            left -= 1
-            pending = (name, cols, left, rows) if left else None
-            if pending is None:
-                tdata["matrices"][name] = IntMatrix.from_rows(rows, cols=cols)
-            continue
         key = toks[0]
-        if key == "meta":
-            section = "meta"
-            continue
-        if key == "expected":
-            section = "expected"
+        if key in ("meta", "expected", "map", "torus"):
+            section = key
+            have_map = have_map or key == "map"
             continue
         if key == "complex":
             if len(toks) != 2:
@@ -213,13 +191,6 @@ def load_scenario(path) -> Scenario:
             section = "complex"
             current_complex = _ComplexBuilder()
             define(lineno, complexes, toks[1], current_complex, "complex")
-            continue
-        if key == "map":
-            section = "map"
-            have_map = True
-            continue
-        if key == "torus":
-            section = "torus"
             continue
         if section == "meta":
             if len(toks) < 2:
@@ -260,25 +231,32 @@ def load_scenario(path) -> Scenario:
                 usage = "matrix lines are 'matrix NAME ROWS COLS'"
                 if len(toks) != 4:
                     fail(lineno, usage)
+                name = toks[1]
                 nrows, ncols = integers(lineno, toks[2:], usage, signed=False)
-                # the empty matrix stands in until the rows are read
-                define(lineno, tdata["matrices"], toks[1], IntMatrix.zeros(0, ncols), "matrix")
-                if nrows:
-                    pending = (toks[1], ncols, nrows, [])
+                if name in matrices:
+                    fail(lineno, f"matrix {name} is defined twice")
+                rows = []
+                # the next nrows token lines are the rows, whatever they start with
+                for _, (lineno, toks) in zip(range(nrows), lines):
+                    row = integers(lineno, toks, f"expected an integer row of matrix {name}")
+                    if len(row) != ncols:
+                        fail(lineno, f"matrix {name} row needs {ncols} entries")
+                    rows.append(row)
+                if len(rows) < nrows:
+                    raise ParseError(f"{path}: matrix {name} is missing rows")
+                matrices[name] = IntMatrix.from_rows(rows, cols=ncols)
             elif key == "vector":
                 if len(toks) < 2:
                     fail(lineno, "vector lines are 'vector NAME ints...'")
                 value = integers(lineno, toks[2:], "vector entries must be integers")
-                define(lineno, tdata["vectors"], toks[1], value, "vector")
+                define(lineno, vectors, toks[1], value, "vector")
             elif key in TORUS_SCALARS:
-                define(lineno, tdata["scalars"], key, " ".join(toks[1:]), "torus scalar")
+                define(lineno, scalars, key, " ".join(toks[1:]), "torus scalar")
             else:
                 fail(lineno, f"unknown torus key '{key}'")
         else:
             fail(lineno, f"line outside any section: '{' '.join(toks)}'")
 
-    if pending is not None:
-        raise ParseError(f"{path}: matrix {pending[0]} is missing rows")
     if "id" not in meta or "kind" not in meta:
         raise ValidationError(f"{path}: meta must declare id and kind")
     kind = meta["kind"]
@@ -289,7 +267,7 @@ def load_scenario(path) -> Scenario:
     if not 1 <= expected["order"] <= 5:
         raise ValidationError(f"{path}: expected order must be in 1..5")
 
-    payload = _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata)
+    payload = _build_payload(path, kind, meta, complexes, vmap, emap, have_map, matrices, vectors, scalars)
     return Scenario(
         id=meta["id"],
         kind=kind,
@@ -314,7 +292,7 @@ def _build_complex(path, name, builder):
         raise ValidationError(f"{path}: complex {name}: {exc}") from exc
 
 
-def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
+def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, matrices, vectors, scalars):
     if kind == "vankampen":
         if set(complexes) != {"dbar", "d"} or not have_map:
             raise ValidationError(f"{path}: vankampen needs complexes dbar, d and a map")
@@ -331,9 +309,6 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
     if kind == "constant":
         return ConstantPayload()
 
-    scalars = tdata["scalars"]
-    matrices = tdata["matrices"]
-    vectors = tdata["vectors"]
     mode = scalars.get("mode")
 
     if kind == "parametric":
@@ -370,7 +345,11 @@ def _build_payload(path, kind, meta, complexes, vmap, emap, have_map, tdata):
         # torus.intersection_number counts nodes on rank 4 only, so no other
         # rank can pass; refused here, before the group closure, whose cost
         # grows as rank^4
-        if scalars.get("rank") != "4":
+        try:
+            rank = _int_token(scalars["rank"])
+        except (KeyError, ValueError):
+            rank = None
+        if rank != 4:
             raise ValidationError(f"{path}: a cover section must declare rank 4: nodes are counted on rank-4 lattices only")
         try:
             den = _int_token(scalars["denominator"])

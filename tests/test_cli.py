@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -135,13 +136,13 @@ def test_verify_all_parses_each_file_once(capsys, monkeypatch, fmt):
     from stablepi1 import scenarios
 
     parsed = []
-    parse_lines = scenarios._parse_lines
+    load_scenario = scenarios.load_scenario
 
     def counting(path):
         parsed.append(path)
-        return parse_lines(path)
+        return load_scenario(path)
 
-    monkeypatch.setattr(scenarios, "_parse_lines", counting)
+    monkeypatch.setattr(scenarios, "load_scenario", counting)
     code, out, _err = run_cli(capsys, ["verify-all", "--format", fmt])
     assert code == 0
     assert len(parsed) == len(set(parsed)) == 23
@@ -261,6 +262,38 @@ def test_verify_all_md_matches_golden_report(capsys):
     code, out, _err = run_cli(capsys, ["verify-all", "--format", "md"])
     assert code == 0
     assert out == (DATA / "verify_all.md").read_text(encoding="utf-8")
+
+
+BUNDLED_IDS = sorted(p.stem for p in (SRC / "stablepi1" / "catalogue").glob("*.scn"))
+
+
+def test_every_bundled_scenario_has_a_golden_md_report():
+    assert len(BUNDLED_IDS) == 23
+    assert sorted(p.stem for p in (DATA / "run_md").glob("*.md")) == BUNDLED_IDS
+
+
+@pytest.mark.parametrize("sid", BUNDLED_IDS)
+def test_run_md_matches_golden_report(capsys, sid):
+    # tests/data/run_md/<id>.md is `run <id> --format md` with the elapsed
+    # time written as '*'; any other byte of the report must not drift
+    code, out, _err = run_cli(capsys, ["run", sid, "--format", "md"])
+    assert code == 0
+    got = re.sub(r"(?m)^- elapsed: [0-9.]+ ms$", "- elapsed: * ms", out)
+    assert got == (DATA / "run_md" / f"{sid}.md").read_text(encoding="utf-8")
+
+
+def test_verify_all_md_escapes_pipes_in_ids_and_meta(capsys, tmp_path):
+    # an unescaped '|' in a cell once gave a 9-cell row under the 8-column header
+    text = (SRC / "stablepi1" / "catalogue" / "R3.scn").read_text()
+    old = "construction ruled surface, degree-3 Albanese isogeny"
+    assert old in text
+    text = text.replace(old, "construction a | b").replace("id R3", "id R|3").replace("normal yes", "normal |")
+    (tmp_path / "R|3.scn").write_text(text)
+    code, out, _err = run_cli(capsys, ["verify-all", "--format", "md", "--catalogue-dir", str(tmp_path)])
+    assert code == 0
+    header, _rule, row = out.splitlines()[:3]
+    assert row == "| R\\|3 | 3 | 3 | yes | \\| | yes | a \\| b | pass |"
+    assert len(re.split(r"(?<!\\)\|", row)) == len(header.split("|")) == 10
 
 
 def _interpreter(minor):

@@ -1,14 +1,17 @@
 """Scenario parsing, validation, runner behaviour, catalogue integrity."""
 
+import json
 import random
 import re
 import shutil
 import time
+from pathlib import Path
 
 import pytest
 
 from stablepi1 import fpgroup, torus, vankampen
 from stablepi1.cli import _table_md
+from stablepi1.intlin import IntMatrix
 from stablepi1.scenarios import (
     BiTriPayload,
     ParseError,
@@ -22,6 +25,8 @@ from stablepi1.scenarios import (
     verify_catalogue,
 )
 from test_fpgroup import enum_menu_groups, power_groups
+
+DATA = Path(__file__).parent / "data"
 
 EXPECTED_ORDERS = {
     "P1": 4,
@@ -225,6 +230,77 @@ class TestLoad:
             load_scenario(bad)
 
 
+def isogeny_file(*torus_lines):
+    """R3's meta and expected sections, then a torus section of these lines."""
+    return "\n".join(["meta", "id R3", "kind parametric", "expected", "order 3", "cyclic yes",
+                      "torus", *torus_lines]) + "\n"
+
+
+class TestMatrixRows:
+    """A ``matrix NAME R C`` line takes the next R token lines as its rows,
+    whatever they start with; blank and comment lines are no rows."""
+
+    @pytest.mark.parametrize(
+        "after",
+        [["mode isogeny"], ["torus", "mode isogeny"], ["meta", "family R", "torus", "mode isogeny"]],
+        ids=["key", "torus", "meta"],
+    )
+    def test_a_zero_row_matrix_is_followed_at_once_by_a_key_or_header(self, tmp_path, after):
+        # the line after it is a line of its own, not a row
+        path = tmp_path / "R3.scn"
+        path.write_text(isogeny_file("matrix isogeny 0 2", *after))
+        scenario = load_scenario(path)
+        assert scenario.payload.matrix == IntMatrix(0, 2, ())
+        assert scenario.meta.get("family") == ("R" if after[0] == "meta" else None)
+
+    def test_a_zero_row_matrix_then_rows_of_the_next(self, tmp_path):
+        path = tmp_path / "R3.scn"
+        path.write_text(isogeny_file("mode isogeny", "matrix empty 0 3", "matrix isogeny 2 2", "1 1", "-1 2"))
+        assert load_scenario(path).payload.matrix == IntMatrix(2, 2, (1, 1, -1, 2))
+
+    @pytest.mark.parametrize("word", ["meta", "torus", "expected", "map", "matrix isogeny 2 2"])
+    def test_a_row_that_spells_a_header_is_a_bad_row(self, tmp_path, word):
+        path = tmp_path / "R3.scn"
+        path.write_text(isogeny_file("mode isogeny", "matrix isogeny 2 2", "1 1", "# a comment is no row", "", word, "-1 2"))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:13: expected an integer row of matrix isogeny")):
+            load_scenario(path)
+
+    def test_rows_are_read_across_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "R3.scn"
+        path.write_text(isogeny_file("mode isogeny", "matrix isogeny 2 2", "", "1 1  # first", "# none", "-1 2"))
+        assert load_scenario(path).payload.matrix == IntMatrix(2, 2, (1, 1, -1, 2))
+
+    @pytest.mark.parametrize(
+        "nrows, rows",
+        [(2, []), (2, ["1 1"]), (2, ["1 1", "# the end", ""]), (3, ["1 1", "-1 2"])],
+        ids=["no-row", "one-row", "comment-after", "two-of-three"],
+    )
+    def test_end_of_file_inside_a_matrix(self, tmp_path, nrows, rows):
+        path = tmp_path / "R3.scn"
+        path.write_text(isogeny_file("mode isogeny", f"matrix isogeny {nrows} 2", *rows))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: matrix isogeny is missing rows")):
+            load_scenario(path)
+
+    def test_a_row_count_past_any_file_is_missing_rows(self, tmp_path):
+        path = tmp_path / "R3.scn"
+        path.write_text(isogeny_file("mode isogeny", f"matrix isogeny {10 ** 30} 2", "1 1", "-1 2"))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: matrix isogeny is missing rows")):
+            load_scenario(path)
+
+    def test_a_name_defined_twice_is_refused_before_its_rows(self, tmp_path):
+        # the header is the error, not the row that is no row
+        path = tmp_path / "R3.scn"
+        path.write_text(isogeny_file("mode isogeny", "matrix isogeny 2 2", "1 1", "-1 2", "matrix isogeny 1 2", "x"))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:12: matrix isogeny is defined twice")):
+            load_scenario(path)
+
+    def test_a_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "R3.scn"
+        path.write_text(isogeny_file("mode isogeny", "matrix isogeny 2 2", "1 1", "-1"))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:11: matrix isogeny row needs 2 entries")):
+            load_scenario(path)
+
+
 class TestRun:
     def test_interleaved_lines_order_five(self):
         s = load_scenario(bundled_catalogue_dir() / "X1.5.scn")
@@ -275,6 +351,22 @@ class TestRun:
         monkeypatch.setattr(torus, "conjugate_into_lattice", refuse)
         path = tmp_path / "C.scn"
         path.write_text(cover_of_rank(rank))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: a cover section must declare rank 4")):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("rank", ["04", "0004"])
+    def test_a_rank_with_leading_zeros_is_rank_4(self, tmp_path, rank):
+        # rank is read as an integer, as degphi and deck_order are
+        path = tmp_path / "C.scn"
+        path.write_text(cover_of_rank(4).replace("rank 4\n", f"rank {rank}\n"))
+        assert load_scenario(path).payload.deck_order == 4
+        assert run_b1_variant(tmp_path, ("rank 4", f"rank {rank}")).passed
+
+    @pytest.mark.parametrize("rank", [None, "", "x", "4.0", "+4", "-4", "\u0664", "4 4", "5", "9" * 5000])
+    def test_a_rank_that_is_not_the_integer_4_is_refused(self, tmp_path, rank):
+        path = tmp_path / "C.scn"
+        line = "" if rank is None else f"rank {rank}".strip() + "\n"
+        path.write_text(cover_of_rank(4).replace("rank 4\n", line))
         with pytest.raises(ValidationError, match=re.escape(f"{path}: a cover section must declare rank 4")):
             load_scenario(path)
 
@@ -501,6 +593,30 @@ def one_line_mutations(lines, rng):
         yield f"{kind} line {i + 1}", b"\n".join(out) + b"\n"
 
 
+def mutated_files(tmp_path):
+    """The seeded one_line_mutations of every bundled file, each written in
+    turn to ``tmp_path`` under the file's name: yields (name, label, path)."""
+    rng = random.Random(20261018)
+    for src in sorted(bundled_catalogue_dir().glob("*.scn")):
+        path = tmp_path / src.name
+        for label, data in one_line_mutations(src.read_text().splitlines(), rng):
+            path.write_bytes(data)
+            yield src.name, label, path
+
+
+def load_outcome(path, tmp_path):
+    """What load_scenario makes of ``path``: [error type, message] with
+    ``tmp_path`` written as <tmp>, or the scenario's meta and the report of
+    its run without elapsed_ms."""
+    try:
+        scenario = load_scenario(path)
+    except (ParseError, ValidationError) as exc:
+        return [type(exc).__name__, str(exc).replace(str(tmp_path), "<tmp>")]
+    report = run_scenario(scenario).to_dict()
+    del report["elapsed_ms"]
+    return {"meta": scenario.meta, "report": report}
+
+
 class TestParserTotality:
     @pytest.mark.parametrize(
         "name, old, new, error",
@@ -544,23 +660,31 @@ class TestParserTotality:
             load_scenario(bad)
 
     def test_one_line_mutations_of_every_bundled_file(self, tmp_path):
-        rng = random.Random(20261018)
         escapes = []
         count = 0
-        for src in sorted(bundled_catalogue_dir().glob("*.scn")):
-            path = tmp_path / src.name
-            for label, data in one_line_mutations(src.read_text().splitlines(), rng):
-                count += 1
-                path.write_bytes(data)
-                try:
-                    assert isinstance(load_scenario(path), Scenario)
-                except (ParseError, ValidationError) as exc:
-                    if str(path) not in str(exc):
-                        escapes.append((src.name, label, f"unnamed file: {exc}"))
-                except Exception as exc:  # anything else is a traceback for the user
-                    escapes.append((src.name, label, f"{type(exc).__name__}: {exc}"))
+        for name, label, path in mutated_files(tmp_path):
+            count += 1
+            try:
+                assert isinstance(load_scenario(path), Scenario)
+            except (ParseError, ValidationError) as exc:
+                if str(path) not in str(exc):
+                    escapes.append((name, label, f"unnamed file: {exc}"))
+            except Exception as exc:  # anything else is a traceback for the user
+                escapes.append((name, label, f"{type(exc).__name__}: {exc}"))
         assert count > 700
         assert not escapes, escapes[:10]
+
+    def test_one_line_mutations_load_as_pinned(self, tmp_path):
+        """tests/data/mutation_outcomes.json holds the load_outcome of every
+        file of mutated_files, written by the two-pass loader that read the
+        token lines into a list before reading any: the one-pass loader must
+        give the same error type, message and line number, or load the same
+        scenario and run it to the same report."""
+        pinned = json.loads((DATA / "mutation_outcomes.json").read_text(encoding="utf-8"))
+        got = [[name, label, load_outcome(path, tmp_path)] for name, label, path in mutated_files(tmp_path)]
+        assert len(got) == len(pinned)
+        for entry, want in zip(got, pinned):
+            assert entry == want
 
 
 def certified_presentations(monkeypatch):

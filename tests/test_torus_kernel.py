@@ -186,11 +186,11 @@ def test_solve_edge_cases():
     assert half == AffineTorusMap(ident, RatVector((1, 0), 2))
     sixth = conjugate_into_lattice(ident, RatVector((1, 0), 3), two)
     assert sixth == AffineTorusMap(ident, RatVector((1, 0), 6))
-    assert solve_integral(IntMatrix.zeros(0, 3), [0, 0, 0]) == []
+    assert solve_integral(IntMatrix(0, 3, ()), [0, 0, 0]) == []
     with pytest.raises(ValueError, match="full rank"):
-        conjugate_into_lattice(IntMatrix.identity(3), RatVector.zero(3), IntMatrix.zeros(0, 3))
+        conjugate_into_lattice(IntMatrix.identity(3), RatVector.zero(3), IntMatrix(0, 3, ()))
     # a zero row is no Hermite basis row: it has no pivot column
-    for basis in (IntMatrix.zeros(2, 0), IntMatrix.from_rows([[1, 0], [0, 0]])):
+    for basis in (IntMatrix(2, 0, ()), IntMatrix.from_rows([[1, 0], [0, 0]])):
         with pytest.raises(ValueError, match="zero row"):
             solve_integral(basis, [0] * basis.cols)
     with pytest.raises(ValueError):
