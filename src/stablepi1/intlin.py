@@ -21,19 +21,22 @@ only, so sparse input does not pay for its zeros.  Pivots are sought in
 the leading columns only, so the columns after them ride along and record
 the transform.
 
-The rows above the changed ones are reduced on one of two schedules.  When
-columns ride along, they are reduced by the changed rows before the next
-row comes in, as Kannan and Bachem do: a transform is not unique, and
-left unreduced its entries grow (U of a rank-deficient 40 x 40 matrix
-went from 43 to 2144 bits).  When none ride along, the other rows are left
-as they are, so they cannot grow, and the basis is echelon with positive
-pivots when the last row is in.  Only the callers that read the unique
-form, ``hermite_normal_form``, ``saturation`` and the rider-free Smith
-rounds, then reduce every row once, bottom up; H is unique, so both
-schedules return the same form.  ``cokernel_invariants`` and
-``lattice_contains`` read the echelon basis as it is: any basis fixes the
-invariants, and substitution decides membership on any echelon basis with
-positive pivots (Cohen, GTM 138, sec. 2.4).
+The rows above the changed ones are left as they are, so they cannot
+grow, until a row with riders vanishes.  While the rows inserted so far are
+independent, their reduced basis [H | W*R], R the riders, is unique: H is
+their Hermite form and W the one transform with W*A = H.  So the first row
+with riders that vanishes is taken back (the basis rows its gcd steps
+replaced are restored), the basis is reduced once, bottom up, to that
+unique state, and the row goes in again; from then on the rows above the
+changed ones are reduced by them before the next row comes in, as Kannan
+and Bachem do.  A dependent row leaves W free, and left unreduced its
+entries grow (U of a rank-deficient 40 x 40 matrix went from 43 to 2144
+bits).  Without a switch the basis is echelon with positive pivots when
+the last row is in, and every row is then reduced once, bottom up, which
+again gives the unique [H | W*R].  ``cokernel_invariants`` and
+``lattice_contains`` skip that pass and read the echelon basis as it is:
+any basis fixes the invariants, and substitution decides membership on any
+echelon basis with positive pivots (Cohen, GTM 138, sec. 2.4).
 
 A Smith form alternates the kernel, as Kannan and Bachem do: ``_smith_rows``
 inserts the columns of the matrix, with the rows of V^T riding along, then
@@ -66,7 +69,8 @@ identity columns, and ``membership`` reads that basis and nothing else.
 The value types are plain ``__slots__`` classes, treated as immutable.  Their
 public constructors raise ``ValueError`` on anything but plain ints (a bool,
 float or str); matrices computed from checked ones (products, identities,
-normal forms) skip the check, and ``IntMatrix.identity`` is cached per rank.
+normal forms) skip the check, as do the scenario loader's, whose entries
+``int()`` returned, and ``IntMatrix.identity`` is cached per rank.
 
 Lattice coordinates come from Hermite substitution: ``solve_integral``
 walks the rows of an echelon basis with positive pivots in order, each row
@@ -178,7 +182,7 @@ class IntMatrix:
         return IntMatrix._trusted(
             self.rows,
             other.cols,
-            tuple(sum(map(mul, self.row(i), col)) for i in range(self.rows) for col in columns),
+            tuple(sum(map(mul, row, col)) for row in map(self.row, range(self.rows)) for col in columns),
         )
 
     def mul_vector(self, vec):
@@ -532,6 +536,64 @@ def _reduce_row(basis, pivots, sparse, k, start):
                 sparse[k] = None
 
 
+def _insert_row(basis, pivots, sparse, v, width, changed, undo):
+    """Reduce ``v`` against the basis pivot by pivot and insert what is left
+    of it; returns False when ``v`` vanished in the first ``width``
+    columns instead.  The positions of the basis rows it changed are
+    appended to ``changed``, ascending.  A gcd step assigns basis row i a
+    new list and changes no other row; unless ``undo`` is None, (i, old row)
+    is appended to it first."""
+    n = len(basis)
+    i = p = 0
+    while True:
+        while p < width and not v[p]:
+            p += 1
+        if p == width:
+            return False
+        while i < n and pivots[i] < p:
+            i += 1
+        if i == n or pivots[i] != p:
+            # rows changed so far sit above i, so their positions hold
+            if v[p] < 0:
+                v = [-x for x in v]
+            basis.insert(i, v)
+            pivots.insert(i, p)
+            sparse.insert(i, None)
+            changed.append(i)
+            return True
+        h = basis[i]
+        hp = h[p]
+        vp = v[p]
+        q, rem = divmod(vp, hp)
+        if rem:
+            # s*hp + t*vp = g = gcd(hp, vp) > 0; [[s, t], [-b, a]] is unimodular
+            g = gcd(hp, vp)
+            a = hp // g
+            b = vp // g
+            s = pow(a, -1, abs(b))
+            t = (1 - s * a) // b
+            hs = h[p:]
+            vs = v[p:]
+            if undo is not None:
+                undo.append((i, h))
+            basis[i] = h[:p] + [s * x + t * y for x, y in zip(hs, vs)]
+            v[p:] = [a * y - b * x for x, y in zip(hs, vs)]
+            if sparse[i]:
+                sparse[i] = None
+            changed.append(i)
+        else:
+            cols = sparse[i]
+            if cols is None:
+                cols = sparse[i] = _sparse_columns(h, p)
+            if cols:
+                for j in cols:
+                    v[j] -= q * h[j]
+            else:
+                v[p:] = [y - q * x for x, y in zip(h[p:], v[p:])]
+        i += 1
+        p += 1
+
+
 def _hermite_rows(rows, width, echelon=False):
     """Hermite form of the row span of ``rows``, by row insertion; returns
     (basis, kernel).
@@ -540,20 +602,21 @@ def _hermite_rows(rows, width, echelon=False):
     operations act on whole rows, so columns past ``width`` follow along.
     Rows come in nondecreasing length; one longer than the basis rows pads
     them with zeros.  Each row is reduced against the basis, pivot column by
-    pivot column.  A row that becomes zero in the first ``width`` columns
-    goes to ``kernel``.  ``rows`` is a list of lists that the kernel owns:
-    it changes them in place.
+    pivot column (``_insert_row``).  A row that becomes zero in the first
+    ``width`` columns goes to ``kernel``.  ``rows`` is a list of lists that
+    the kernel owns: it changes them in place.
 
-    The basis is reduced on one of two schedules, chosen by whether columns
-    ride along.  When they do, the whole basis is reduced again before the
-    next row comes in, so the riders stay near the size of the final
-    form's.  When every row has exactly ``width`` entries, only the rows an
-    insertion changed are reduced then, by the rows below them, and every
-    row is reduced once, bottom up, after the last one: the other rows do
-    not change until then, so they cannot grow, and H is unique, so both
-    schedules return it.  Riders are not unique, and deferring their
-    reduction lets them grow.  With ``echelon`` true that last pass is
-    skipped: the basis is then echelon with positive pivots but not
+    After each insertion only the rows it changed are reduced, by the rows
+    below them, and after the last one every row is reduced once, bottom
+    up.  While the rows so far are independent, that reaches the unique
+    [H | W*R] that reducing the whole basis after every insertion holds.
+    The first row with riders (columns past ``width``) that vanishes is
+    taken back, the basis rows its gcd steps replaced being restored; the
+    basis is reduced once, bottom up, the row goes in again from a copy,
+    and from then on the whole basis is reduced after every insertion, so
+    the riders, no longer unique, stay small.  A rider-free row that
+    vanishes is zero and changes nothing.  With ``echelon`` true the last
+    pass is skipped: the basis is then echelon with positive pivots but not
     necessarily reduced, which is all a caller that reads neither H nor the
     riders needs.
     """
@@ -564,63 +627,31 @@ def _hermite_rows(rows, width, echelon=False):
     sparse = []
     kernel = []
     size = 0  # length of the basis rows
-    defer = not rows or len(rows[-1]) == width  # the last row is the longest
+    riders = bool(rows) and len(rows[-1]) > width  # the last row is the longest
+    defer = True
     for v in rows:
         if len(v) > size:
             pad = [0] * (len(v) - size)
             size = len(v)
             for h in basis:
                 h += pad
-        n = len(basis)
         changed = []  # positions of the basis rows this row changed, ascending
-        i = p = 0
-        while True:
-            while p < width and not v[p]:
-                p += 1
-            if p == width:
-                kernel.append(v)
-                break
-            while i < n and pivots[i] < p:
-                i += 1
-            if i == n or pivots[i] != p:
-                # rows changed so far sit above i, so their positions hold
-                if v[p] < 0:
-                    v = [-x for x in v]
-                basis.insert(i, v)
-                pivots.insert(i, p)
-                sparse.insert(i, None)
-                changed.append(i)
-                n += 1
-                break
-            h = basis[i]
-            hp = h[p]
-            vp = v[p]
-            q, rem = divmod(vp, hp)
-            if rem:
-                # s*hp + t*vp = g = gcd(hp, vp) > 0; [[s, t], [-b, a]] is unimodular
-                g = gcd(hp, vp)
-                a = hp // g
-                b = vp // g
-                s = pow(a, -1, abs(b))
-                t = (1 - s * a) // b
-                hs = h[p:]
-                vs = v[p:]
-                basis[i] = h[:p] + [s * x + t * y for x, y in zip(hs, vs)]
-                v[p:] = [a * y - b * x for x, y in zip(hs, vs)]
-                if sparse[i]:
-                    sparse[i] = None
-                changed.append(i)
-            else:
-                cols = sparse[i]
-                if cols is None:
-                    cols = sparse[i] = _sparse_columns(h, p)
-                if cols:
-                    for j in cols:
-                        v[j] -= q * h[j]
-                else:
-                    v[p:] = [y - q * x for x, y in zip(h[p:], v[p:])]
-            i += 1
-            p += 1
+        undo = [] if defer and riders else None
+        saved = v[:] if undo is not None else None
+        if not _insert_row(basis, pivots, sparse, v, width, changed, undo):
+            if undo is not None:
+                # a replaced row's sparse entry is None or False now, and
+                # both are right for the old row
+                for i, h in undo:
+                    basis[i] = h
+                for k in range(len(basis) - 2, -1, -1):
+                    _reduce_row(basis, pivots, sparse, k, k + 1)
+                defer = False
+                v = saved
+                changed = []
+                # v lies in the rational span of the basis, so it vanishes again
+                _insert_row(basis, pivots, sparse, v, width, changed, None)
+            kernel.append(v)
         if defer:
             for k in reversed(changed):
                 _reduce_row(basis, pivots, sparse, k, k + 1)

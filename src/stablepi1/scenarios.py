@@ -174,10 +174,20 @@ def load_scenario(path) -> Scenario:
         table[name] = value
 
     def integers(lineno, tokens, msg, signed=True):
-        try:
-            return [_int_token(t, signed) for t in tokens]
-        except ValueError:
-            fail(lineno, msg)
+        # _int_token's rule, one check per line: the tokens together are
+        # ASCII digits, apart from the '-' of signed values, and int() refuses
+        # a lone or misplaced '-'
+        if not tokens:
+            return []
+        digits = "".join(tokens)
+        if signed:
+            digits = digits.replace("-", "")
+        if digits.isascii() and digits.isdigit():
+            try:
+                return [int(t) for t in tokens]
+            except ValueError:
+                pass
+        fail(lineno, msg)
 
     for lineno, toks in lines:
         key = toks[0]
@@ -244,7 +254,7 @@ def load_scenario(path) -> Scenario:
                     rows.append(row)
                 if len(rows) < nrows:
                     raise ParseError(f"{path}: matrix {name} is missing rows")
-                matrices[name] = IntMatrix.from_rows(rows, cols=ncols)
+                matrices[name] = IntMatrix._of_rows(rows, ncols)
             elif key == "vector":
                 if len(toks) < 2:
                     fail(lineno, "vector lines are 'vector NAME ints...'")

@@ -18,31 +18,45 @@ up to 40 x 40 whose unit pivots sit between non-unit ones.
 permutations and unimodular row operations leave the lattice, and so its
 Hermite form, unchanged.
 
-The kernel reduces on two schedules: the whole basis after every insertion
-when columns ride along, or the changed rows only and, for the callers that
-read H, every row once at the end when none do.  H is unique, so the
-reduced rider-free basis must equal the first ``width`` columns of the
-basis with the identity riding along, and the echelon one must have H as
-its Hermite form.
+The kernel reduces only the rows each insertion changed and, for the
+callers that read H, every row once at the end.  When a row with riders
+vanishes, it takes that row back, reduces the whole basis, inserts the row
+again and from then on reduces the whole basis after every insertion.  H is
+unique, so the reduced rider-free basis must equal the first ``width``
+columns of the basis with the identity riding along, and the echelon one
+must have H as its Hermite form.  While the rows inserted so far are
+independent, the transform riding along is unique, so every transform must
+be the one the kernel gave when, with riders, it reduced the whole basis
+after every insertion (``tests/reference_hermite_schedule.py``): the
+augmented basis and kernel, D, U and V of ``smith_normal_form``,
+``left_kernel``, ``saturation`` and ``membership``, bit for bit, on the
+corpora above, on planted dense, rank-deficient and tall sparse matrices up
+to 40 x 40, and on rows that take gcd steps before they vanish, a zero
+first row and inputs whose rows all depend on the first.
 """
 
 import random
 
 import pytest
 
+from reference_hermite_schedule import reference_hermite_rows
 from reference_hnf import reference_hermite_normal_form
 from reference_snf import reference_snf_core
 from stablepi1 import intlin
 from stablepi1.intlin import (
     AbelianInvariants,
     IntMatrix,
+    RatVector,
     _deflate,
     _hermite_rows,
     _hermite_with_identity,
     cokernel_invariants,
     hermite_normal_form,
     lattice_contains,
+    left_kernel,
+    membership,
     saturation,
+    smith_normal_form,
     solve_integral,
 )
 from test_snf_kernel import CORPUS, matmul, planted, random_rows, unimodular
@@ -396,3 +410,63 @@ def test_lattice_contains_on_planted_vectors(index):
         i = rng.choice([i for i, d in enumerate(diag) if d != 1])
         outside = [x + y for x, y in zip(inside, q[i])]
         assert not lattice_contains(a, outside) and solve_integral(h, outside) is None
+
+
+def rider_corpus():
+    """(label, rows, cols) triples for the transforms: the schedule corpus,
+    the P*D*Q corpus, planted matrices up to 40 x 40 and hand-made rows
+    that vanish."""
+    rng = random.Random(29)
+    cases = list(SCHEDULE_CORPUS) + [("planted P*D*Q", rows, len(d)) for d, rows, _q in PDQ_CORPUS]
+    for n in (25, 32, 40):
+        cases.append(("planted dense", planted(rng, n, n), n))
+        k = n - n // 5
+        rows = matmul(random_rows(rng, n, k, -3, 3), random_rows(rng, k, n, -3, 3))
+        cases.append(("rank-deficient product", rows, n))
+        cases.append(("tall sparse", sparse(rng, n + n // 5, n), n))
+    cases += [
+        # the second row's gcd step makes the pivot 1, then the row vanishes
+        ("gcd steps, then vanishes", [[2], [3]], 1),
+        ("gcd steps, then vanishes", [[4, 6, 1], [0, 3, 5], [6, 9, 0], [2, 0, 7], [1, 1, 1]], 3),
+        ("zero first row", [[0, 0, 0], [2, 3, 5], [1, -4, 6], [3, 1, 2]], 3),
+        ("zero first row", [[0, 0], [0, 0], [4, 6]], 2),
+        ("all rows dependent", [[2, 4, -6], [3, 6, -9], [-5, -10, 15], [0, 0, 0]], 3),
+        ("all rows dependent", [[0, 0, 0, 0]] * 3, 4),
+    ]
+    return cases
+
+
+RIDER_CORPUS = rider_corpus()
+
+
+def transforms(a):
+    """Every output that reads the riders of ``_hermite_rows``."""
+    snf = smith_normal_form(a)
+    probes = [RatVector(tuple(a.at(i, j) for i in range(a.rows)), 2) for j in range(min(a.cols, 3))]
+    probes.append(RatVector(tuple(range(1, a.rows + 1)), 3))
+    return (
+        _hermite_with_identity(a),
+        (snf.d, snf.u, snf.v),
+        left_kernel(a),
+        saturation(a),
+        [membership(t, a) for t in probes],
+    )
+
+
+def test_rider_corpus_covers_every_case():
+    labels = {label for label, _rows, _cols in RIDER_CORPUS}
+    assert labels >= {
+        "planted P*D*Q", "planted dense", "rank-deficient product", "tall sparse",
+        "gcd steps, then vanishes", "zero first row", "all rows dependent",
+    }
+    assert max(len(rows) for label, rows, _cols in RIDER_CORPUS if label == "planted dense") == 40
+
+
+@pytest.mark.parametrize("index", range(len(RIDER_CORPUS)))
+def test_transforms_match_the_per_insertion_schedule(index, monkeypatch):
+    label, rows, cols = RIDER_CORPUS[index]
+    a = IntMatrix.from_rows(rows, cols=cols)
+    got = transforms(a)
+    monkeypatch.setattr(intlin, "_hermite_rows", reference_hermite_rows)
+    assert got == transforms(a), label
+

@@ -402,3 +402,26 @@ def test_value_types_compare_and_hash_by_value():
         IntMatrix.identity(-1)
     with pytest.raises(ValueError):
         IntMatrix(-1, 2, ())
+
+
+def naive_product(a, b):
+    return [[sum(a.at(i, k) * b.at(k, j) for k in range(a.cols)) for j in range(b.cols)] for i in range(a.rows)]
+
+
+def product_shapes():
+    """(rows, inner, cols) triples: every empty and unit shape, then seeded ones."""
+    shapes = [(r, k, c) for r in (0, 1, 3) for k in (0, 1, 3) for c in (0, 1, 3)]
+    rng = random.Random(174)
+    shapes += [(rng.randint(1, 9), rng.randint(1, 9), rng.randint(1, 9)) for _ in range(60)]
+    return shapes
+
+
+@pytest.mark.parametrize("shape", product_shapes())
+def test_product_matches_the_triple_loop(shape):
+    r, k, c = shape
+    rng = random.Random(repr(shape))
+    a = IntMatrix(r, k, [rng.randint(-50, 50) for _ in range(r * k)])
+    b = IntMatrix(k, c, [rng.randint(-50, 50) for _ in range(k * c)])
+    p = a.mul(b)
+    assert (p.rows, p.cols) == (r, c)
+    assert p.to_rows() == naive_product(a, b)

@@ -18,6 +18,7 @@ from stablepi1.scenarios import (
     Scenario,
     ValidationError,
     VanKampenPayload,
+    _int_token,
     bundled_catalogue_dir,
     load_catalogue,
     load_scenario,
@@ -658,6 +659,45 @@ class TestParserTotality:
         bad.write_bytes(data.replace(old.encode(), new))
         with pytest.raises(error, match=re.escape(str(bad))):
             load_scenario(bad)
+
+    @pytest.mark.parametrize("tok", ["-", "--1", "1-2", "-0", "007", "03", "+1", "\u00b2", "\u0663", "1_0"])
+    def test_a_line_of_integers_reads_each_token_as_int_token_does(self, tmp_path, tok):
+        # a line's tokens are checked together; signed in a matrix row and a
+        # vector, unsigned in the expected order
+        try:
+            want = _int_token(tok)
+        except ValueError:
+            want = None
+        try:
+            want_unsigned = _int_token(tok, signed=False)
+        except ValueError:
+            want_unsigned = None
+        text = (bundled_catalogue_dir() / "R3.scn").read_text()
+        path = tmp_path / "R3.scn"
+        cases = [
+            ("matrix", text.replace("\n-1 2\n", f"\n-1 {tok}\n"), want, "expected an integer row of matrix isogeny"),
+            ("vector", text + f"vector probe 1 {tok} -2\n", want, "vector entries must be integers"),
+            ("order", text.replace("order 3", f"order {tok}"), want_unsigned, "expected lines are"),
+        ]
+        for where, data, value, message in cases:
+            path.write_text(data)
+            if value is None:
+                with pytest.raises(ParseError, match=re.escape(message)):
+                    load_scenario(path)
+            elif where == "matrix":
+                assert load_scenario(path).payload.matrix.at(1, 1) == value
+            elif where == "vector":
+                load_scenario(path)
+            elif 1 <= value <= 5:
+                assert load_scenario(path).expected_order == value
+            else:
+                with pytest.raises(ValidationError, match="expected order must be in 1..5"):
+                    load_scenario(path)
+
+    def test_a_vector_line_without_entries_is_empty(self, tmp_path):
+        path = tmp_path / "R3.scn"
+        path.write_text((bundled_catalogue_dir() / "R3.scn").read_text() + "vector probe\n")
+        assert load_scenario(path).payload.matrix == IntMatrix.from_rows([[1, 1], [-1, 2]])
 
     def test_one_line_mutations_of_every_bundled_file(self, tmp_path):
         escapes = []
