@@ -34,7 +34,11 @@ directly, without union-find.
 
 A scan defines the cosets of a gap in one pass (chain fill), and a relator
 x^m (m >= 3) keeps closure flags so that its scan is skipped where it is
-known to close: one scan of <t | t^n> defines and flags all n cosets.
+known to close: one scan of <t | t^n> defines and flags all n cosets.  The
+enumeration and lookahead loops walk a relator's columns themselves and
+call the scan only where the trace does not close, so a closed trace, the
+common case, costs no call.  None of these changes the HLT tables: the same
+cosets are defined and merged as by one scan of every relator at a time.
 """
 
 from __future__ import annotations
@@ -431,15 +435,16 @@ class _CosetTable:
         col[alpha] = new
         inv[new] = alpha
 
-    def _scan(self, alpha, fwd, bwd, fill):
+    def _scan(self, alpha, fwd, bwd, fill, f):
         """Scan a relator at alpha, filling its gap if ``fill``; True when it
-        then closes there without a coincidence."""
-        f = alpha
-        for col in fwd:  # entry 0 of every column is 0: a gap sends f to 0
-            f = col[f]
+        then closes there without a coincidence.
+
+        The caller walks the relator's columns from alpha and passes ``f``,
+        the coset they take alpha to (0 past a gap, as entry 0 of every
+        column is 0), and calls only when ``f != alpha``.  A closed trace
+        costs no call, and as a scan of it would change nothing, the HLT
+        tables are those of scanning every relator."""
         if f:
-            if f == alpha:
-                return True
             self._coincidence(f, alpha)
             return False
         f = b = alpha
@@ -486,16 +491,27 @@ class _CosetTable:
     def _lookahead(self, alpha):
         """Deduction/coincidence pass from coset ``alpha`` on; returns cosets
         freed.  Every live coset below the one being processed closes every
-        relator already, so a pass from coset 1 would find nothing more."""
+        relator already, so a pass from coset 1 would find nothing more.
+        Like ``enumerate`` it walks each relator's columns itself and calls
+        ``_scan`` only where the trace does not close, which leaves the
+        tables unchanged; with no relators there is nothing to deduce, and
+        it returns 0 at once."""
+        rels = self.rels
+        if not rels:
+            return 0
         before = self.nlive
-        p = self.p
-        while alpha <= self.top:
+        p, top, scan = self.p, self.top, self._scan  # no definitions: top stays
+        while alpha <= top:
             if p[alpha] == alpha:
-                for fwd, bwd, flags in self.rels:
+                for fwd, bwd, flags in rels:
                     if flags is None or not flags[alpha]:
-                        self._scan(alpha, fwd, bwd, False)
-                        if p[alpha] != alpha:
-                            break
+                        f = alpha
+                        for col in fwd:
+                            f = col[f]
+                        if f != alpha:
+                            scan(alpha, fwd, bwd, False, f)
+                            if p[alpha] != alpha:
+                                break
             alpha += 1
         return before - self.nlive
 
@@ -516,9 +532,22 @@ class _CosetTable:
         return bisect_left(live, alpha) + 1
 
     def enumerate(self):
-        p, scan = self.p, self._scan
+        """HLT: scan and fill the subgroup words at coset 1, then every
+        relator at each live coset in turn, lowest first, and define the
+        coset's missing entries; returns the number of live cosets.
+
+        Each relator's (and subgroup word's) columns are walked here, and
+        ``_scan`` runs only when the trace does not close, so a closed trace
+        costs no call; the HLT tables are those of scanning every relator.
+        On the coset limit a lookahead pass that frees cosets lets the
+        enumeration go on."""
+        p, rels, scan = self.p, self.rels, self._scan
         for fwd, bwd in self.subgroup:
-            scan(1, fwd, bwd, True)
+            f = 1
+            for col in fwd:
+                f = col[f]
+            if f != 1:
+                scan(1, fwd, bwd, True, f)
         alpha = 1
         while alpha <= self.top:
             if p[alpha] != alpha:
@@ -527,19 +556,21 @@ class _CosetTable:
             if self.top > 2 * self.nlive + 64:
                 alpha = self._compact(alpha)
             try:
-                for fwd, bwd, flags in self.rels:
-                    if flags is None:
-                        scan(alpha, fwd, bwd, True)
-                    elif flags[alpha]:
+                for fwd, bwd, flags in rels:
+                    if flags is not None and flags[alpha]:
                         continue
-                    elif scan(alpha, fwd, bwd, True):
+                    f = alpha
+                    for col in fwd:
+                        f = col[f]
+                    if f != alpha and not scan(alpha, fwd, bwd, True, f):
+                        if p[alpha] != alpha:
+                            break
+                    elif flags is not None:
                         # x^m closes at alpha, so at every alpha.x^k as well
                         k = alpha
                         for col in fwd:
                             k = col[k]
                             flags[k] = 1
-                    if p[alpha] != alpha:
-                        break
                 else:
                     for col, inv in self.pairs:
                         if not col[alpha]:

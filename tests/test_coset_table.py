@@ -17,6 +17,7 @@ from stablepi1.fpgroup import (
     CosetLimitExceeded,
     Presentation,
     _CosetTable,
+    _dihedral_subgroup,
     cyclic_presentation,
     todd_coxeter_order,
 )
@@ -279,6 +280,19 @@ def dihedral_splits(u, involutions):
     ]
 
 
+def power_splits(relators):
+    """(xy, m) for every split xy of the root u of a power relator u^m,
+    m > 1, as the table reads it, into two conjugates of involutions."""
+    involutions = set(involutions_of(relators))
+    splits = []
+    for w in relators:
+        w = reduce_mod_involutions(w, involutions)
+        if w:  # g^2 reduces to nothing
+            u, m = root(w)
+            splits += [(xy, m) for xy in dihedral_splits(u, involutions) if m > 1]
+    return splits
+
+
 @pytest.mark.parametrize("name", sorted(set(NAMED) - {"Z450"}))
 def test_named_groups_over_dihedral_splits_match_reference(name):
     """The cosets of <x, y> for every split u = x y of a power relator's
@@ -287,20 +301,122 @@ def test_named_groups_over_dihedral_splits_match_reference(name):
     (ngens, rels), order = NAMED[name]
     rng = random.Random(name)
     p = Presentation(tuple(f"x{i}" for i in range(ngens)), relabel(ngens, rels, rng))
-    involutions = set(involutions_of(p.relators))
-    splits = []
-    for w in p.relators:
-        w = reduce_mod_involutions(w, involutions)
-        if w:  # g^2 reduces to nothing
-            u, m = root(w)
-            splits += [(xy, m) for xy in dihedral_splits(u, involutions) if m > 1]
+    splits = power_splits(p.relators)
     assert splits
     for xy, m in splits:
         index = assert_same(p.ngens, p.relators, 10**6, xy).nlive
         assert order % index == 0 and order // index <= 2 * m
 
 
+@pytest.fixture
+def open_traces_only(monkeypatch):
+    """Check the callers' contract on every ``_CosetTable._scan`` call: the
+    ``f`` passed in is the coset that the relator's columns take alpha to
+    (0 past a gap), walked again here, and that trace does not close at
+    alpha, so a closed one never costs a call.  Returns each call's
+    ``fill``, so a test can tell which callers it reached."""
+    scan = _CosetTable._scan
+    fills = []
+
+    def checked(self, alpha, fwd, bwd, fill, f):
+        k = alpha
+        for col in fwd:
+            k = col[k]
+        assert k == f
+        assert f != alpha
+        fills.append(fill)
+        return scan(self, alpha, fwd, bwd, fill, f)
+
+    monkeypatch.setattr(_CosetTable, "_scan", checked)
+    return fills
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_named_groups_scan_open_traces_only(open_traces_only, name):
+    """The relabelled named groups over the trivial subgroup and over every
+    dihedral split: enumeration (relators and subgroup words) hands
+    ``_scan`` only traces that do not close, and the tables still match."""
+    (ngens, rels), order = NAMED[name]
+    rng = random.Random(name)
+    p = Presentation(tuple(f"x{i}" for i in range(ngens)), relabel(ngens, rels, rng))
+    assert assert_same(p.ngens, p.relators, 10**6).nlive == order
+    for xy, _m in power_splits(p.relators):
+        assert_same(p.ngens, p.relators, 10**6, xy)
+    assert open_traces_only
+
+
+@pytest.mark.parametrize("limit", [50, 200, 2000])
+def test_random_presentations_scan_open_traces_only(open_traces_only, limit):
+    """Random presentations, some of which stop at the limit, over the
+    trivial subgroup and over two random words, the second of which may
+    close at coset 1 once the first is filled: enumeration and lookahead
+    alike hand ``_scan`` only traces that do not close."""
+    rng = random.Random(limit)
+    for _ in range(120):
+        p = random_presentation(rng)
+        assert_same(p.ngens, p.relators, limit)
+        gens = tuple(random_subgroup_word(rng, p.relators, p.ngens) for _ in range(2))
+        assert_same(p.ngens, p.relators, limit, gens)
+    assert set(open_traces_only) == {True, False}
+
+
 TRIANGLE_237 = [(1, 1), (2, 2, 2), (1, 2) * 7]
+
+# the largest enumerations that todd_coxeter_order runs in perfbench's enum
+# workload, (ngens, relators) and order: S7 = W(A6), W(B5) and (2,3,7;8)
+LARGE = {
+    "S7": (coxeter(6, {(i, i + 1): 3 for i in range(5)}), 5040),
+    "B5": (coxeter(5, {(0, 1): 4, (1, 2): 3, (2, 3): 3, (3, 4): 3}), 3840),
+    "237;8": ((2, TRIANGLE_237 + [(1, 2, -1, -2) * 8]), 10752),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_groups_over_their_dihedral_subgroup_match_reference(name):
+    """S7, B5 and (2,3,7;8), relabelled, over the split <x, y> that
+    ``_dihedral_subgroup`` picks, as ``todd_coxeter_order`` enumerates
+    them: the table matches the reference's, and x y permutes its cosets
+    with order m, so the order is the index times 2m."""
+    (ngens, rels), order = LARGE[name]
+    rng = random.Random(name)
+    p = Presentation(tuple(f"x{i}" for i in range(ngens)), relabel(ngens, rels, rng))
+    table = _CosetTable(p.ngens, p.relators, 10**6)
+    xy, m = _dihedral_subgroup(table.words, table.involutions)
+    table = assert_same(p.ngens, p.relators, 10**6, xy)
+    assert table.subgroup_period() == m
+    assert table.nlive * 2 * m == order == todd_coxeter_order(p)
+
+
+@pytest.mark.parametrize("subgroup", [(), ((1,),)], ids=["trivial", "x1"])
+@pytest.mark.parametrize("ngens", [2, 3])
+def test_free_groups_are_refused_without_a_lookahead_scan(monkeypatch, ngens, subgroup):
+    """F2 and F3 have no relators: the enumeration hits the limit, and the
+    lookahead pass has nothing to deduce, so it returns 0 without a scan
+    and the limit is final, with the same message as the reference's."""
+    scans, lookaheads = [0], []  # lookaheads: (cosets freed, scans made)
+    scan, lookahead = _CosetTable._scan, _CosetTable._lookahead
+
+    def counting(self, *args):
+        scans[0] += 1
+        return scan(self, *args)
+
+    def recording(self, alpha):
+        before = scans[0]
+        freed = lookahead(self, alpha)
+        lookaheads.append((freed, scans[0] - before))
+        return freed
+
+    monkeypatch.setattr(_CosetTable, "_scan", counting)
+    monkeypatch.setattr(_CosetTable, "_lookahead", recording)
+    message = "^enumeration needs more than 4000 live cosets$"
+    with pytest.raises(CosetLimitExceeded, match=message):
+        _CosetTable(ngens, (), 4000, subgroup).enumerate()
+    assert assert_same(ngens, (), 4000, subgroup) is None
+    if not subgroup:
+        with pytest.raises(CosetLimitExceeded, match=message):
+            todd_coxeter_order(Presentation(tuple(f"x{i}" for i in range(ngens)), ()), 4000)
+    # one pass per refusal: the table above, assert_same's, todd_coxeter_order's
+    assert lookaheads == [(0, 0)] * (2 if subgroup else 3)
 
 
 @pytest.mark.parametrize(
