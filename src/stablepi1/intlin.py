@@ -64,7 +64,7 @@ stay near the size of H's entries:
 
 ``left_kernel`` needs no Smith form: the rows of A that the augmented
 Hermite step reduces to zero carry a basis of {k : k*A = 0} in their
-identity columns, and ``membership`` reads that basis and nothing else.
+identity columns.
 
 The value types are plain ``__slots__`` classes, treated as immutable.  Their
 public constructors raise ``ValueError`` on anything but plain ints (a bool,
@@ -77,10 +77,9 @@ walks the rows of an echelon basis with positive pivots in order, each row
 clearing its pivot column of the target, and a remainder or a nonzero
 residue means the target is not in the lattice (Cohen, GTM 138, ch. 2).
 ``lattice_contains`` is that solve on the kernel's echelon basis of its
-generators, and ``membership`` needs no solve at all: it reads its answer
-off the left kernel of A.  A rational vector is integer numerators over one
-denominator, so its coordinates are those of a scaled integer vector; no
-``Fraction`` is built anywhere.
+generators.  A rational vector is integer numerators over one denominator,
+so its coordinates are those of a scaled integer vector; no ``Fraction`` is
+built anywhere.
 """
 
 from __future__ import annotations
@@ -261,19 +260,12 @@ class RatVector:
     def integers(cls, values):
         return cls(tuple(values), 1)
 
-    @classmethod
-    def zero(cls, n):
-        return cls((0,) * n, 1)
-
     def __len__(self):
         return len(self.numerators)
 
     @property
     def is_zero(self):
         return all(n == 0 for n in self.numerators)
-
-    def negated(self):
-        return RatVector(tuple(-n for n in self.numerators), self.denominator)
 
     def mod1(self):
         """Reduce every coordinate into [0, 1)."""
@@ -741,21 +733,6 @@ def left_kernel(a: IntMatrix) -> IntMatrix:
     r, c = a.rows, a.cols
     _basis, kernel = _hermite_with_identity(a)
     return IntMatrix._of_rows([row[c:] + [0] * (c + r - len(row)) for row in kernel], r)
-
-
-def membership(t: RatVector, a: IntMatrix) -> bool:
-    """Decide t in (rational column span of a) + Z^n, for a with n rows.
-
-    With K the ``left_kernel`` of A, [U1; K] is unimodular with U1*A of
-    full row rank, so t is a member iff k*t is an integer for every row k
-    of K.
-    """
-    n = len(t)
-    if a.rows != n:
-        raise ValueError("a must have one row per coordinate of t")
-    k = left_kernel(a)
-    nums = t.numerators
-    return all(sum(map(mul, k.row(i), nums)) % t.denominator == 0 for i in range(k.rows))
 
 
 def saturation(a: IntMatrix) -> IntMatrix:

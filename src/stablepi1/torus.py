@@ -6,19 +6,23 @@ enough for everything computed here — orders of automorphisms, freeness of
 finite actions, counting preimages and transverse intersections, and the
 homology bookkeeping of the bi-tri-elliptic constructions.
 
-Maps compose on integers only: the translation is a vector of integer
-numerators over one denominator, and M t' + t is formed on the numerators
-over the product of the two denominators, then reduced.  Coordinates with
-respect to a lattice basis are read off its Hermite form by
+A translation is a vector of integer numerators over one denominator.  A
+group closure runs on integers only: every translation is held as numerators
+modulo d, the lcm of the generators' denominators, so M t' + t is an integer
+matrix-vector product mod d.  A crystallographic group has few linear parts
+(Charlap, *Bieberbach Groups and Flat Manifolds*, 1986), so the closure forms
+each product of two of them once, and a freeness check takes one left
+kernel per linear part, not one per element.
+Coordinates with respect to a lattice basis are read off its Hermite form by
 ``intlin.solve_integral``, a rational vector's over one common denominator:
-no ``Fraction`` is built.  ``AffineTorusMap`` hashes by value, as group
-closures are sets.
+no ``Fraction`` is built.  ``AffineTorusMap`` hashes by value.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import prod
+from math import lcm, prod
+from operator import mul
 
 from . import fpgroup
 from .intlin import (
@@ -29,7 +33,6 @@ from .intlin import (
     cokernel_invariants,
     hermite_normal_form,
     left_kernel,
-    membership,
     saturation,
     solve_integral,
 )
@@ -78,61 +81,74 @@ class AffineTorusMap:
         return self.translation.is_zero and self.linear == IntMatrix.identity(self.rank)
 
 
-def affine_identity(rank):
-    return AffineTorusMap(IntMatrix.identity(rank), RatVector.zero(rank))
-
-
-def compose(f: AffineTorusMap, g: AffineTorusMap) -> AffineTorusMap:
-    """f after g: (M, t) o (M', t') = (M M', M t' + t)."""
-    if f.rank != g.rank:
-        raise ValueError("rank mismatch")
-    # M t'/dg + t/df = (df M t' + dg t) / (df dg); RatVector reduces it
-    df = f.translation.denominator
-    dg = g.translation.denominator
-    moved = [
-        df * mt + dg * t
-        for mt, t in zip(f.linear.mul_vector(g.translation.numerators), f.translation.numerators)
-    ]
-    return AffineTorusMap(f.linear.mul(g.linear), RatVector(moved, df * dg))
-
-
 def generated_group(gens, cap=DEFAULT_GROUP_CAP):
-    """Breadth-first closure of the generated group; deterministic order."""
+    """Breadth-first closure of the generated group; deterministic order.
+
+    The closure runs on plain keys: (M, t) is the position of M among the
+    linear parts met so far and the numerators of t over d, the lcm of the
+    generators' denominators, reduced mod d.  (M, t) o (M', t') =
+    (M M', M t' + t), each product of two linear parts is formed once, and
+    maps are built only for the elements returned.
+    """
     gens = list(gens)
-    rank = gens[0].rank
-    ident = affine_identity(rank)
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                h = compose(g, e)
-                if h not in seen:
-                    if len(seen) >= cap:
-                        raise OrderExceedsCap(f"group closure exceeds cap {cap}")
-                    seen.add(h)
-                    order.append(h)
-                    new.append(h)
-        frontier = new
-    return tuple(order)
+    if not gens:
+        raise ValueError("a group closure needs at least one generator")
+    n = gens[0].rank
+    if any(g.rank != n for g in gens):
+        raise ValueError("rank mismatch")
+    d = lcm(*(g.translation.denominator for g in gens))
+    linears = [IntMatrix.identity(n)]  # distinct linear parts, in order met
+    index = {linears[0].entries: 0}
 
+    def key(m):
+        if m.entries not in index:
+            index[m.entries] = len(linears)
+            linears.append(m)
+        return index[m.entries]
 
-def has_fixed_point(f: AffineTorusMap) -> bool:
-    """A point x with f(x) = x on the torus exists iff -t lies in
-    (M - I) Q^n + Z^n."""
-    n = f.rank
-    m_minus_i = IntMatrix._trusted(
-        n, n, tuple(f.linear.at(i, j) - (1 if i == j else 0) for i in range(n) for j in range(n))
-    )
-    return membership(f.translation.negated(), m_minus_i)
+    moves = [  # per generator: position of M, M, numerators of t over d
+        (key(g.linear), g.linear, [x * (d // g.translation.denominator) for x in g.translation.numerators])
+        for g in gens
+    ]
+    products = {}  # (position of M, of M') -> position of M M'
+    order = [(0, (0,) * n)]
+    seen = set(order)
+    for lin, t in order:  # grows while it is walked
+        for g_lin, m, shift in moves:
+            prod_lin = products.get((g_lin, lin))
+            if prod_lin is None:
+                prod_lin = products[g_lin, lin] = key(m.mul(linears[lin]))
+            h = (prod_lin, tuple((x + s) % d for x, s in zip(m.mul_vector(t), shift)))
+            if h not in seen:
+                if len(seen) >= cap:
+                    raise OrderExceedsCap(f"group closure exceeds cap {cap}")
+                seen.add(h)
+                order.append(h)
+    return tuple(AffineTorusMap(linears[lin], RatVector(t, d)) for lin, t in order)
 
 
 def is_free_action(elements) -> bool:
     """No non-identity element of a closed group (all its elements, as
-    ``generated_group`` returns them) fixes a point."""
-    return not any(has_fixed_point(e) for e in elements if not e.is_identity)
+    ``generated_group`` returns them) fixes a point.
+
+    (M, t) fixes a point iff -t lies in (M - I) Q^n + Z^n, that is iff k*t
+    is an integer for every row k of K, the ``left_kernel`` of M - I: [U1; K]
+    is unimodular with U1 (M - I) of full row rank.  K depends on M alone,
+    so it is computed once per linear part.
+    """
+    kernels = {}  # linear entries -> rows of the left kernel of M - I
+    for e in elements:
+        if e.is_identity:
+            continue
+        m, t = e.linear, e.translation
+        if m.entries not in kernels:
+            n = m.rows  # entry i is on the diagonal iff n + 1 divides i
+            m_minus_i = tuple(x - (1 if i % (n + 1) == 0 else 0) for i, x in enumerate(m.entries))
+            k = left_kernel(IntMatrix._trusted(n, n, m_minus_i))
+            kernels[m.entries] = [k.row(i) for i in range(k.rows)]
+        if all(sum(map(mul, row, t.numerators)) % t.denominator == 0 for row in kernels[m.entries]):
+            return False
+    return True
 
 
 def preimage_count(a: IntMatrix) -> int:

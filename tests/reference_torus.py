@@ -1,14 +1,18 @@
 """Reference torus and rowspace kernels for differential tests: the
-``Fraction`` versions that the integer-only ``torus.compose``,
+``Fraction`` versions that the integer-only torus composition,
 ``torus.conjugate_into_lattice``, ``IntMatrix.mul``,
-``intlin.solve_in_rowspace`` and ``intlin.solve_integral`` replaced, and the
-Smith-form route of ``intlin.membership``, kept verbatim (only the function
-names differ, ``mul`` takes its matrix as an argument, the conjugation calls
-the reference solve, ``fractions`` and ``from_fractions`` are the former
-``RatVector.fractions`` and ``RatVector.from_fractions`` as functions, and
-the membership takes the unit lattice for its former ``lam`` argument and
-runs on the reference Smith kernel of ``tests/reference_snf.py``).  The
-package itself no longer builds any ``Fraction``.
+``intlin.solve_in_rowspace`` and ``intlin.solve_integral`` replaced, the
+Smith-form route of the former ``intlin.membership``, and the breadth-first
+closure that composed maps one (generator, element) pair at a time, kept
+verbatim (only the function names differ, ``mul`` takes its matrix as an
+argument, the conjugation calls the reference solve, the closure calls the
+reference composition and builds its identity inline, ``fractions`` and
+``from_fractions`` are the former ``RatVector.fractions`` and
+``RatVector.from_fractions`` as functions, and the membership takes the unit
+lattice for its former ``lam`` argument and runs on the reference Smith
+kernel of ``tests/reference_snf.py``).  ``reference_is_free_action`` is the
+former per-element freeness check on that membership.  The package itself
+no longer builds any ``Fraction``.
 """
 
 from fractions import Fraction
@@ -16,7 +20,7 @@ from math import lcm
 
 from reference_snf import reference_snf_core
 from stablepi1.intlin import IntMatrix, RatVector, hermite_normal_form, lattice_contains
-from stablepi1.torus import AffineTorusMap
+from stablepi1.torus import AffineTorusMap, OrderExceedsCap
 
 
 def fractions(vec: RatVector):
@@ -42,6 +46,43 @@ def reference_compose(f: AffineTorusMap, g: AffineTorusMap) -> AffineTorusMap:
         for i in range(f.rank)
     ]
     return AffineTorusMap(linear, from_fractions(moved))
+
+
+def reference_generated_group(gens, cap):
+    """Breadth-first closure of the generated group; deterministic order."""
+    gens = list(gens)
+    rank = gens[0].rank
+    ident = AffineTorusMap(IntMatrix.identity(rank), RatVector((0,) * rank, 1))
+    seen = {ident}
+    order = [ident]
+    frontier = [ident]
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                h = reference_compose(g, e)
+                if h not in seen:
+                    if len(seen) >= cap:
+                        raise OrderExceedsCap(f"group closure exceeds cap {cap}")
+                    seen.add(h)
+                    order.append(h)
+                    new.append(h)
+        frontier = new
+    return tuple(order)
+
+
+def reference_is_free_action(elements) -> bool:
+    """The per-element route: no non-identity (M, t) has -t in
+    (M - I) Q^n + Z^n, each decided by ``reference_membership``."""
+    for e in elements:
+        if e.is_identity:
+            continue
+        n = e.rank
+        m_minus_i = IntMatrix(n, n, tuple(e.linear.at(i, j) - (i == j) for i in range(n) for j in range(n)))
+        t = e.translation
+        if reference_membership(RatVector(tuple(-x for x in t.numerators), t.denominator), m_minus_i):
+            return False
+    return True
 
 
 def reference_mul(a: IntMatrix, other: IntMatrix) -> IntMatrix:

@@ -1,4 +1,4 @@
-"""Exact linear algebra: normal forms, membership, saturation."""
+"""Exact linear algebra: normal forms, lattice membership, saturation."""
 
 import random
 
@@ -15,7 +15,6 @@ from stablepi1.intlin import (
     hermite_normal_form,
     lattice_contains,
     left_kernel,
-    membership,
     saturation,
     smith_normal_form,
     solve_integral,
@@ -145,60 +144,6 @@ class TestCokernel:
         rows = mat([(2, 0, -1, 0), (0, 0, 0, 1), (3, 0, 0, 0), (0, 1, 0, 0)])
         inv = cokernel_invariants(rows, 4)
         assert inv.free_rank == 0 and inv.torsion == (3,)
-
-
-class TestMembership:
-    def test_half_point_not_in_unit_lattice(self):
-        # a 1/2-coordinate translation admits no fixed point certificate
-        t = RatVector((0, 1, 0, 0), 2)
-        assert membership(t, IntMatrix(4, 0, ())) is False
-
-    def test_zero_vector_always_member(self):
-        t = RatVector.zero(3)
-        a = mat([[1, 0], [0, 1], [0, 0]])
-        assert membership(t, a) is True
-
-    def test_lattice_point(self):
-        t = RatVector.integers((1, 0))
-        assert membership(t, IntMatrix(2, 0, ())) is True
-
-    def test_column_space_absorbs(self):
-        # (1/3, 2/3) lies in the rational span of (1, 2); (1/3, 1/3) is no
-        # lattice point away from it
-        t = RatVector((1, 2), 3)
-        a = mat([[1], [2]])
-        assert membership(t, a) is True
-        assert membership(RatVector((1, 1), 3), a) is False
-
-    def test_every_free_coordinate_is_tested(self):
-        # a spans the first axis; only the last coordinate is not integral
-        a = mat([[1], [0], [0]])
-        assert membership(RatVector((1, 0, 0), 2), a) is True
-        assert membership(RatVector((1, 0, 1), 2), a) is False
-        assert membership(RatVector((1, 1, 0), 2), a) is False
-
-    def test_row_count_must_match(self):
-        with pytest.raises(ValueError):
-            membership(RatVector.zero(2), IntMatrix(3, 1, (0, 0, 0)))
-
-    def test_invariance_under_unimodular_change(self):
-        rng = random.Random(11)
-        for _ in range(40):
-            n = 3
-            t = RatVector(tuple(rng.randint(-4, 4) for _ in range(n)), rng.randint(1, 4))
-            a = mat([[rng.randint(-3, 3) for _ in range(2)] for _ in range(n)])
-            # random unimodular u: product of elementary operations
-            u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            for _ in range(6):
-                i, j = rng.sample(range(n), 2)
-                q = rng.randint(-2, 2)
-                for k in range(n):
-                    u[i][k] += q * u[j][k]
-            u = mat(u)
-            before = membership(t, a)
-            # u maps Z^n onto itself, so it moves the question, not the answer
-            t2 = RatVector(tuple(u.mul_vector(list(t.numerators))), t.denominator)
-            assert membership(t2, u.mul(a)) == before
 
 
 def left_kernel_cases():

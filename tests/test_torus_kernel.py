@@ -1,16 +1,20 @@
 """Differential tests of the integer-only torus layer.
 
-``torus.compose``, ``IntMatrix.mul``, ``intlin.solve_integral`` and
+``torus.generated_group``, ``IntMatrix.mul``, ``intlin.solve_integral`` and
 ``torus.conjugate_into_lattice`` (whose translation solve replaced
 ``intlin.solve_in_rowspace``) work on integers only.  Against the
 ``Fraction`` versions they replaced (``tests/reference_torus.py``) they must
 return equal results on seeded random inputs, and the cover scenarios B1 and
 B2 must get the same group closure and the same conjugated deck
-transformation.  ``intlin.membership`` reads its answer off the left kernel
-of A that the Hermite step hands back; it must agree with the former route
-through a lattice membership.
+transformation.  The closure runs on numerators modulo the generators'
+common denominator, one product per pair of linear parts; it must return the
+reference closure's elements in the reference's breadth-first order, and
+overflow its cap where the reference does.  ``torus.is_free_action`` takes
+one left kernel per linear part; it must agree with the former route, a
+lattice membership per element.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -18,47 +22,145 @@ import pytest
 
 from reference_torus import (
     from_fractions,
-    reference_compose,
     reference_conjugate_into_lattice,
-    reference_membership,
+    reference_generated_group,
+    reference_is_free_action,
     reference_mul,
     reference_solve_in_rowspace,
     reference_solve_integral,
 )
 from stablepi1 import torus
-from stablepi1.intlin import (
-    IntMatrix,
-    RatVector,
-    hermite_normal_form,
-    membership,
-    solve_integral,
-)
+from stablepi1.intlin import IntMatrix, RatVector, hermite_normal_form, left_kernel, solve_integral
 from stablepi1.scenarios import bundled_catalogue_dir, load_scenario
-from stablepi1.torus import AffineTorusMap, compose, conjugate_into_lattice, generated_group
+from stablepi1.torus import (
+    AffineTorusMap,
+    OrderExceedsCap,
+    conjugate_into_lattice,
+    generated_group,
+    is_free_action,
+)
+
+DENOMINATORS = (1, 2, 3, 4, 6)
+CAPS = (16, 32, 64)
 
 
-def random_map(rng, n):
-    linear = IntMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
-    den = rng.randint(1, 12)
-    nums = tuple(rng.randint(-3 * den, 3 * den) for _ in range(n))
+def signed_permutation(rng, n):
+    """A signed permutation matrix: a cycle of 2 or 3 coordinates (or none)
+    and random signs, so the linear group stays small."""
+    perm = list(range(n))
+    if rng.random() < 0.6:
+        cycle = rng.sample(range(n), rng.randint(2, min(n, 3)))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+    signs = [rng.choice((1, 1, -1)) for _ in range(n)]
+    return IntMatrix(n, n, tuple(signs[i] if perm[i] == j else 0 for i in range(n) for j in range(n)))
+
+
+def random_generator(rng, n):
+    """A signed permutation (or the identity) and a translation over a
+    denominator from ``DENOMINATORS``, most coordinates zero."""
+    linear = IntMatrix.identity(n) if rng.random() < 0.3 else signed_permutation(rng, n)
+    den = rng.choice(DENOMINATORS)
+    nums = tuple(rng.randrange(den) if rng.random() < 0.4 else 0 for _ in range(n))
     return AffineTorusMap(linear, RatVector(nums, den))
 
 
-def test_compose_matches_reference():
-    rng = random.Random(4)
-    for _ in range(400):
+@functools.cache
+def closure_corpus():
+    """Seeded generator lists of rank 2 to 6, each with a cap and the
+    reference closure at that cap: its elements, or None where it
+    overflowed."""
+    rng = random.Random(32)
+    corpus = []
+    for _ in range(480):
         n = rng.randint(2, 6)
-        f, g = random_map(rng, n), random_map(rng, n)
-        got, want = compose(f, g), reference_compose(f, g)
-        assert got == want
-        h = random_map(rng, n)
-        assert compose(got, h) == reference_compose(want, h)
+        gens = tuple(random_generator(rng, n) for _ in range(rng.randint(1, 3)))
+        cap = rng.choice(CAPS)
+        try:
+            corpus.append((gens, cap, reference_generated_group(gens, cap)))
+        except OrderExceedsCap:
+            corpus.append((gens, cap, None))
+    return corpus
 
 
-def test_compose_rank_mismatch():
+def test_generated_group_matches_reference():
+    kinds = {"closed": 0, "overflow": 0, "mixed denominators": 0, "rank 6": 0}
+    kinds.update({f"denominator {den}": 0 for den in DENOMINATORS})
+    for gens, cap, want in closure_corpus():
+        dens = {g.translation.denominator for g in gens}
+        if want is None:
+            with pytest.raises(OrderExceedsCap, match=f"exceeds cap {cap}$"):
+                generated_group(gens, cap)
+            kinds["overflow"] += 1
+            continue
+        # element for element, in the reference's order
+        assert generated_group(gens, cap) == want, gens
+        # the cap overflows at the element the reference would add last
+        assert generated_group(gens, len(want)) == want
+        if len(want) > 1:
+            with pytest.raises(OrderExceedsCap, match=f"exceeds cap {len(want) - 1}$"):
+                generated_group(gens, len(want) - 1)
+        kinds["closed"] += 1
+        kinds["mixed denominators"] += len(dens) > 1
+        kinds["rank 6"] += gens[0].rank == 6
+        for den in dens:
+            kinds[f"denominator {den}"] += 1
+    assert kinds["closed"] >= 300 and all(v >= 20 for v in kinds.values()), kinds
+
+
+def test_generated_group_rank_mismatch():
     rng = random.Random(5)
-    with pytest.raises(ValueError):
-        compose(random_map(rng, 2), random_map(rng, 4))
+    for _ in range(20):
+        gens = [random_generator(rng, rng.randint(2, 6)) for _ in range(3)]
+        if len({g.rank for g in gens}) == 1:
+            continue
+        with pytest.raises(ValueError, match="rank mismatch"):
+            reference_generated_group(gens, 64)
+        with pytest.raises(ValueError, match="rank mismatch"):
+            generated_group(gens, 64)
+
+
+def test_generated_group_needs_a_generator():
+    with pytest.raises(ValueError, match="at least one generator"):
+        generated_group([])
+
+
+def test_is_free_action_matches_reference():
+    """Every closed group of the corpus, against a lattice membership per
+    non-identity element."""
+    kinds = {"free": 0, "not free": 0, "free with a linear part": 0}
+    for _gens, _cap, group in closure_corpus():
+        if group is None:
+            continue
+        want = reference_is_free_action(group)
+        assert is_free_action(group) == want, group
+        kinds["free" if want else "not free"] += 1
+        kinds["free with a linear part"] += want and any(e.linear != group[0].linear for e in group)
+    assert kinds["free"] >= 50 and kinds["not free"] >= 50 and kinds["free with a linear part"] >= 20, kinds
+
+
+@pytest.mark.parametrize("name", ["B1", "B2"])
+def test_one_left_kernel_per_linear_part(name, monkeypatch):
+    """On the cover groups and their deck powers: at most one ``left_kernel``
+    call per distinct linear part of a non-identity element, each of M - I."""
+    payload = load_scenario(bundled_catalogue_dir() / f"{name}.scn").payload
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return left_kernel(a)
+
+    monkeypatch.setattr(torus, "left_kernel", counted)
+    for group in (generated_group(payload.group_gens), generated_group([payload.deck], cap=64)):
+        calls.clear()
+        assert is_free_action(group)
+        n = group[0].rank
+        wanted = {
+            IntMatrix(n, n, tuple(x - (i % (n + 1) == 0) for i, x in enumerate(e.linear.entries)))
+            for e in group
+            if not e.is_identity
+        }
+        assert 0 < len(calls) == len(set(calls)) and set(calls) <= wanted
 
 
 def test_mul_matches_reference():
@@ -188,7 +290,7 @@ def test_solve_edge_cases():
     assert sixth == AffineTorusMap(ident, RatVector((1, 0), 6))
     assert solve_integral(IntMatrix(0, 3, ()), [0, 0, 0]) == []
     with pytest.raises(ValueError, match="full rank"):
-        conjugate_into_lattice(IntMatrix.identity(3), RatVector.zero(3), IntMatrix(0, 3, ()))
+        conjugate_into_lattice(IntMatrix.identity(3), RatVector.integers((0, 0, 0)), IntMatrix(0, 3, ()))
     # a zero row is no Hermite basis row: it has no pivot column
     for basis in (IntMatrix(2, 0, ()), IntMatrix.from_rows([[1, 0], [0, 0]])):
         with pytest.raises(ValueError, match="zero row"):
@@ -197,30 +299,6 @@ def test_solve_edge_cases():
         conjugate_into_lattice(ident, RatVector((1, 2, 3), 1), two)
     with pytest.raises(ValueError):
         solve_integral(two, [1])
-
-
-def test_membership_matches_reference():
-    """Seeded t and a, some a with zero columns: half the t are built as
-    a x + z for a rational x and an integer z, so members are common."""
-    rng = random.Random(12)
-    kinds = {"member": 0, "not member": 0, "no columns": 0, "two or more free": 0}
-    for _ in range(1200):
-        n = rng.randint(1, 5)
-        k = rng.choice((0, 1, 1, 2, 2, 3, n))
-        a = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(k)] for _ in range(n)], cols=k)
-        den = rng.randint(1, 6)
-        if rng.random() < 0.5:
-            x = [rng.randint(-2 * den, 2 * den) for _ in range(k)]
-            nums = [e + den * rng.randint(-2, 2) for e in a.mul_vector(x)]
-        else:
-            nums = [rng.randint(-2 * den, 2 * den) for _ in range(n)]
-        t = RatVector(nums, den)
-        got = membership(t, a)
-        assert got == reference_membership(t, a), (t, a)
-        kinds["member" if got else "not member"] += 1
-        kinds["no columns"] += k == 0
-        kinds["two or more free"] += n - k >= 2 and not got
-    assert all(v >= 50 for v in kinds.values()), kinds
 
 
 def cover_file(name):
@@ -243,7 +321,7 @@ def cover_file(name):
 
 
 @pytest.mark.parametrize("name", ["B1", "B2"])
-def test_cover_closure_and_deck_unchanged(name, monkeypatch):
+def test_cover_closure_and_deck_unchanged(name):
     scenario = load_scenario(bundled_catalogue_dir() / f"{name}.scn")
     gens = scenario.payload.group_gens
     got = generated_group(gens)
@@ -257,6 +335,5 @@ def test_cover_closure_and_deck_unchanged(name, monkeypatch):
     assert deck == scenario.payload.deck
     assert deck == reference_conjugate_into_lattice(*args)
     # the same breadth-first closure with the Fraction composition
-    monkeypatch.setattr(torus, "compose", reference_compose)
-    assert generated_group(gens) == got
+    assert got == reference_generated_group(gens, torus.DEFAULT_GROUP_CAP)
     assert len(got) == scenario.payload.group_order
